@@ -69,7 +69,6 @@ struct CliArgs {
   std::string engine;
   bool demo = false;
   bool no_filter = false;
-  bool shared_const = false;
   bool stats = false;
   bool dot = false;
   bool list_engines = false;
@@ -113,7 +112,7 @@ void PrintUsage() {
   std::printf(
       "usage: ses_cli [--demo] [--schema \"NAME TYPE, ...\"] [--data FILE]\n"
       "               [--query TEXT | --query-file FILE | --catalog FILE]\n"
-      "               [--engine NAME] [--no-filter] [--shared-const]\n"
+      "               [--engine NAME] [--no-filter]\n"
       "               [--stats] [--dot] [--format text|csv]\n"
       "               [--threads N] [--batch N]\n"
       "               [--rebalance] [--rebalance-policy v1|v2]\n"
@@ -137,8 +136,6 @@ void PrintUsage() {
       "                 (default serial; see --list-engines)\n"
       "  --list-engines print the registered engines and exit\n"
       "  --no-filter    disable the event pre-filter (sec. 4.5)\n"
-      "  --shared-const share per-event constant-condition evaluation\n"
-      "                 across automaton instances\n"
       "  --stats        print execution statistics\n"
       "  --format F     output format: text (default) or csv\n"
       "  --dot          print the SES automaton as Graphviz dot and exit\n"
@@ -300,8 +297,6 @@ Result<CliArgs> ParseArgs(int argc, char** argv) {
       }
     } else if (std::strcmp(argv[i], "--no-filter") == 0) {
       args.no_filter = true;
-    } else if (std::strcmp(argv[i], "--shared-const") == 0) {
-      args.shared_const = true;
     } else if (std::strcmp(argv[i], "--stats") == 0) {
       args.stats = true;
     } else if (std::strcmp(argv[i], "--dot") == 0) {
@@ -481,7 +476,6 @@ Status RunCatalog(const CliArgs& args) {
 
   plan::PlanOptions plan_options;
   plan_options.enable_prefilter = !args.no_filter;
-  plan_options.shared_constant_evaluation = args.shared_const;
 
   auto query_catalog = std::make_shared<catalog::QueryCatalog>();
   std::map<std::string, Pattern> patterns;  // id -> pattern, for printing
@@ -638,7 +632,6 @@ Status Run(const CliArgs& args) {
   // Compile once; the plan is shared by whichever engine runs it.
   plan::PlanOptions plan_options;
   plan_options.enable_prefilter = !args.no_filter;
-  plan_options.shared_constant_evaluation = args.shared_const;
   SES_ASSIGN_OR_RETURN(std::shared_ptr<const plan::CompiledPlan> plan,
                        plan::CompilePlan(pattern, plan_options));
 

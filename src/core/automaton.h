@@ -28,7 +28,7 @@ struct Transition {
   /// Number of leading constant conditions in `conditions`.
   int num_constant = 0;
   /// Dense id across all transitions of the automaton; used by the
-  /// executor's shared constant-condition memoization.
+  /// executor's per-event constant-verdict memo.
   int id = -1;
 
   bool is_loop() const { return from == to; }

@@ -19,12 +19,8 @@ SesExecutor::SesExecutor(const SesAutomaton* automaton,
       filter_(filter != nullptr
                   ? std::move(filter)
                   : std::make_shared<const EventPreFilter>(
-                        automaton->pattern())) {
-  if (options_.shared_constant_evaluation) {
-    constant_memo_.resize(
-        static_cast<size_t>(automaton_->num_transitions()));
-  }
-}
+                        automaton->pattern())),
+      constant_memo_(static_cast<size_t>(automaton->num_transitions())) {}
 
 void SesExecutor::Consume(const Event& event, std::vector<Match>* out) {
   ++stats_.events_seen;
@@ -43,7 +39,6 @@ void SesExecutor::Consume(const Event& event, std::vector<Match>* out) {
   if (observer_ != nullptr) observer_->OnEvent(event, /*filtered=*/false);
   ++event_epoch_;
 
-  auto shared_event = std::make_shared<const Event>(event);
   const Duration window = automaton_->window();
 
   // Line 4 of Algorithm 1: a fresh instance in the start state. It dies in
@@ -52,7 +47,7 @@ void SesExecutor::Consume(const Event& event, std::vector<Match>* out) {
       AutomatonInstance{automaton_->start_state(), MatchBuffer()});
 
   next_.clear();
-  for (const AutomatonInstance& instance : instances_) {
+  for (AutomatonInstance& instance : instances_) {
     if (!instance.buffer.empty() &&
         event.timestamp() - instance.buffer.min_timestamp() > window) {
       // Lines 7-10: the window expired; an accepting instance reports its
@@ -65,7 +60,7 @@ void SesExecutor::Consume(const Event& event, std::vector<Match>* out) {
       }
       continue;
     }
-    ConsumeOnInstance(instance, shared_event);
+    ConsumeOnInstance(instance, event);
   }
   std::swap(instances_, next_);
   stats_.max_simultaneous_instances =
@@ -106,28 +101,27 @@ void SesExecutor::RecomputePendingFloor() {
   }
 }
 
-void SesExecutor::ConsumeOnInstance(
-    const AutomatonInstance& instance,
-    const std::shared_ptr<const Event>& event) {
+void SesExecutor::ConsumeOnInstance(AutomatonInstance& instance,
+                                    const Event& event) {
   bool fired = false;
   for (const Transition& transition : automaton_->outgoing(instance.state)) {
     ++stats_.transitions_evaluated;
-    if (!EvaluateTransition(transition, instance.buffer, *event)) continue;
+    if (!EvaluateTransition(transition, instance.buffer, event)) continue;
     fired = true;
     ++stats_.transitions_fired;
     ++stats_.instances_created;
     next_.push_back(AutomatonInstance{
         transition.to, instance.buffer.Extend(transition.variable, event)});
     if (observer_ != nullptr) {
-      observer_->OnTransition(instance, transition, *event, next_.back());
+      observer_->OnTransition(instance, transition, event, next_.back());
     }
   }
   if (!fired && instance.state != automaton_->start_state()) {
     // No transition fired: the event is ignored and the instance survives
     // unchanged (skip-till-next-match). A fresh start-state instance that
     // fired nothing is discarded (Algorithm 2, lines 8-10).
-    if (observer_ != nullptr) observer_->OnIgnored(instance, *event);
-    next_.push_back(instance);
+    if (observer_ != nullptr) observer_->OnIgnored(instance, event);
+    next_.push_back(std::move(instance));
   }
 }
 
@@ -135,9 +129,9 @@ bool SesExecutor::EvaluateTransition(const Transition& transition,
                                      const MatchBuffer& buffer,
                                      const Event& event) {
   // Constant conditions (conditions[0, num_constant)) depend only on the
-  // event; with shared evaluation enabled their verdict is computed once
-  // per event per transition and reused across instances.
-  if (options_.shared_constant_evaluation && transition.num_constant > 0) {
+  // event: their verdict is computed once per event per transition and
+  // reused across instances.
+  if (transition.num_constant > 0) {
     ConstantVerdict& verdict =
         constant_memo_[static_cast<size_t>(transition.id)];
     if (verdict.epoch != event_epoch_) {
@@ -153,24 +147,11 @@ bool SesExecutor::EvaluateTransition(const Transition& transition,
       }
     }
     if (!verdict.satisfied) return false;
-    for (size_t i = static_cast<size_t>(transition.num_constant);
-         i < transition.conditions.size(); ++i) {
-      if (!EvaluateVariableCondition(transition.conditions[i],
-                                     transition.variable, buffer, event)) {
-        return false;
-      }
-    }
-    return true;
   }
-
-  for (const Condition& condition : transition.conditions) {
-    if (condition.is_constant_condition()) {
-      ++stats_.conditions_evaluated;
-      if (!condition.EvaluateConstant(event)) return false;
-      continue;
-    }
-    if (!EvaluateVariableCondition(condition, transition.variable, buffer,
-                                   event)) {
+  for (size_t i = static_cast<size_t>(transition.num_constant);
+       i < transition.conditions.size(); ++i) {
+    if (!EvaluateVariableCondition(transition.conditions[i],
+                                   transition.variable, buffer, event)) {
       return false;
     }
   }
@@ -284,8 +265,7 @@ Status SesExecutor::Restore(const char** p, const char* limit) {
         Reset();
         return s;
       }
-      buffer = buffer.Extend(static_cast<VariableId>(variable),
-                             std::make_shared<const Event>(std::move(event)));
+      buffer = buffer.Extend(static_cast<VariableId>(variable), event);
     }
     instances_.push_back(
         AutomatonInstance{static_cast<StateId>(state), std::move(buffer)});

@@ -22,14 +22,6 @@ struct ExecutorOptions {
   /// pattern has a variable without constant conditions; see
   /// EventPreFilter).
   bool enable_prefilter = true;
-  /// Evaluates each transition's constant conditions once per input event
-  /// and memoizes the verdict, instead of re-evaluating them for every
-  /// instance sitting in the transition's source state. Semantically
-  /// neutral (constant conditions depend only on the event); pays off when
-  /// nondeterminism piles many instances into the same states. Off by
-  /// default to keep the executor's per-instance work identical to the
-  /// paper's Algorithm 2; benchmarked as an ablation in bench/micro_match.
-  bool shared_constant_evaluation = false;
 };
 
 /// Counters collected during execution. `max_simultaneous_instances` is the
@@ -102,13 +94,14 @@ class SesExecutor {
  private:
   /// Algorithm 2: lets one instance consume `event`; derived instances are
   /// appended to next_. Returns nothing: a firing transition replaces the
-  /// instance by its branches, a non-firing event leaves the instance
-  /// unchanged unless it still sits in the start state.
-  void ConsumeOnInstance(const AutomatonInstance& instance,
-                         const std::shared_ptr<const Event>& event);
+  /// instance by its branches, a non-firing event moves the instance to
+  /// next_ unchanged unless it still sits in the start state.
+  void ConsumeOnInstance(AutomatonInstance& instance, const Event& event);
 
   /// Evaluates Θδ of `transition` for binding `event`, against the
-  /// bindings collected in `buffer`.
+  /// bindings collected in `buffer`. Constant conditions depend only on the
+  /// event, so their verdict is computed once per (event, transition) and
+  /// reused for every instance in the transition's source state.
   bool EvaluateTransition(const Transition& transition,
                           const MatchBuffer& buffer, const Event& event);
 
@@ -149,7 +142,7 @@ class SesExecutor {
   /// Lets ExpireUpTo skip the Ω scan when no window can have expired.
   Timestamp pending_floor_ = kNoPending;
 
-  /// Per-event memo for shared constant-condition evaluation, indexed by
+  /// Per-event memo of constant-condition verdicts, indexed by
   /// Transition::id. An entry is valid when its epoch equals event_epoch_.
   struct ConstantVerdict {
     uint64_t epoch = 0;

@@ -1,30 +1,24 @@
 #include "core/instance.h"
 
-#include <algorithm>
-
 namespace ses {
 
 MatchBuffer MatchBuffer::Extend(VariableId variable,
-                                std::shared_ptr<const Event> event) const {
+                                const Event& event) const {
   MatchBuffer extended;
-  auto node = std::make_shared<Node>();
-  node->parent = head_;
-  node->variable = variable;
-  node->event = std::move(event);
-  extended.min_timestamp_ =
-      empty() ? node->event->timestamp() : min_timestamp_;
-  extended.head_ = std::move(node);
+  extended.head_ = std::make_shared<const Node>(head_, variable, event);
+  extended.min_timestamp_ = empty() ? event.timestamp() : min_timestamp_;
   extended.size_ = size_ + 1;
   return extended;
 }
 
 std::vector<Binding> MatchBuffer::ToBindings() const {
-  std::vector<Binding> bindings;
-  bindings.reserve(static_cast<size_t>(size_));
-  ForEach([&bindings](VariableId v, const Event& e) {
-    bindings.push_back(Binding{v, e});
+  // ForEach walks newest first; fill from the back so the result comes out
+  // chronological without a reversal pass.
+  std::vector<Binding> bindings(static_cast<size_t>(size_));
+  size_t next = bindings.size();
+  ForEach([&bindings, &next](VariableId v, const Event& e) {
+    bindings[--next] = Binding{v, e};
   });
-  std::reverse(bindings.begin(), bindings.end());
   return bindings;
 }
 

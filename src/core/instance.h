@@ -19,8 +19,11 @@ using StateId = int;
 /// Buffers are immutable persistent lists: Extend() shares the existing
 /// nodes, so branching an instance on nondeterminism (Algorithm 2, line 5)
 /// costs O(1) and memory is shared across all instances that descend from a
-/// common prefix. Events are shared via shared_ptr because in streaming use
-/// the caller's Event goes away after Push().
+/// common prefix. Each node holds its Event by value: an Event is a handle
+/// on a reference-counted value payload (event/event.h), so binding it costs
+/// a reference-count increment, every node and every emitted Match that
+/// binds the same input event shares that one payload, and the values stay
+/// alive after the caller's Event goes away at the end of Push().
 class MatchBuffer {
  public:
   /// The empty buffer.
@@ -33,15 +36,14 @@ class MatchBuffer {
   Timestamp min_timestamp() const { return min_timestamp_; }
 
   /// Returns a buffer with the binding `variable`/`event` appended.
-  MatchBuffer Extend(VariableId variable,
-                     std::shared_ptr<const Event> event) const;
+  MatchBuffer Extend(VariableId variable, const Event& event) const;
 
   /// Invokes fn(VariableId, const Event&) for each binding, newest first.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     for (const Node* node = head_.get(); node != nullptr;
          node = node->parent.get()) {
-      fn(node->variable, *node->event);
+      fn(node->variable, node->event);
     }
   }
 
@@ -52,7 +54,7 @@ class MatchBuffer {
   struct Node {
     std::shared_ptr<const Node> parent;
     VariableId variable;
-    std::shared_ptr<const Event> event;
+    Event event;
   };
 
   std::shared_ptr<const Node> head_;

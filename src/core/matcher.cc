@@ -24,8 +24,6 @@ Matcher::Matcher(std::shared_ptr<const SesAutomaton> automaton,
     : automaton_(std::move(automaton)) {
   ExecutorOptions executor_options;
   executor_options.enable_prefilter = options.enable_prefilter;
-  executor_options.shared_constant_evaluation =
-      options.shared_constant_evaluation;
   executor_ = std::make_unique<SesExecutor>(automaton_.get(),
                                             executor_options,
                                             std::move(filter));

@@ -17,9 +17,6 @@ namespace ses {
 struct MatcherOptions {
   /// Enables the §4.5 event pre-filter.
   bool enable_prefilter = true;
-  /// Enables shared per-event evaluation of constant transition conditions
-  /// (see ExecutorOptions::shared_constant_evaluation).
-  bool shared_constant_evaluation = false;
 };
 
 /// The public entry point of libses: matches a SES pattern against a stream

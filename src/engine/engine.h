@@ -20,10 +20,10 @@
 namespace ses::engine {
 
 /// Runtime knobs of an engine instance, fixed at creation. Plan-level
-/// choices (pre-filter, shared constant evaluation, partition attribute)
-/// live in plan::PlanOptions instead — the same plan runs under any engine
-/// options. Fields that a given engine does not use are ignored: the
-/// serial engine reads only `sink`, the parallel engine reads everything.
+/// choices (pre-filter, partition attribute) live in plan::PlanOptions
+/// instead — the same plan runs under any engine options. Fields that a
+/// given engine does not use are ignored: the serial engine reads only
+/// `sink`, the parallel engine reads everything.
 struct EngineOptions {
   /// Streaming match consumer; required (CreateEngine rejects a null sink).
   /// Runs on the thread that drives the engine and must not re-enter it.

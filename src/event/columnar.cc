@@ -64,12 +64,11 @@ Value ColumnarBatch::ValueAt(size_t row, int attribute) const {
 }
 
 Event ColumnarBatch::RowEvent(size_t row) const {
-  std::vector<Value> values;
-  values.reserve(columns_.size());
+  EventBuilder values(schema_.num_attributes());
   for (int attribute = 0; attribute < schema_.num_attributes(); ++attribute) {
-    values.push_back(ValueAt(row, attribute));
+    values.Append(ValueAt(row, attribute));
   }
-  return Event(ids_[row], timestamps_[row], std::move(values));
+  return std::move(values).Build(ids_[row], timestamps_[row]);
 }
 
 const ColumnarBatch::Int64Column& ColumnarBatch::int64_column(

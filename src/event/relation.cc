@@ -49,6 +49,14 @@ void EventRelation::AppendUnchecked(Timestamp timestamp,
                        std::move(values));
 }
 
+void EventRelation::AppendUnchecked(Timestamp timestamp,
+                                    std::span<const Value> values) {
+  EventBuilder builder(static_cast<int>(values.size()));
+  for (const Value& value : values) builder.Append(value);
+  events_.push_back(std::move(builder).Build(
+      static_cast<EventId>(events_.size()) + 1, timestamp));
+}
+
 Status EventRelation::ValidateTotalOrder() const {
   for (size_t i = 1; i < events_.size(); ++i) {
     if (events_[i].timestamp() <= events_[i - 1].timestamp()) {

@@ -1,6 +1,7 @@
 #ifndef SES_EVENT_RELATION_H_
 #define SES_EVENT_RELATION_H_
 
+#include <span>
 #include <vector>
 
 #include "common/result.h"
@@ -39,6 +40,7 @@ class EventRelation {
   /// Appends values with the next timestamp/id without checks; for trusted
   /// generators. Still keeps ids consistent.
   void AppendUnchecked(Timestamp timestamp, std::vector<Value> values);
+  void AppendUnchecked(Timestamp timestamp, std::span<const Value> values);
 
   /// Verifies strictly increasing timestamps (total order).
   Status ValidateTotalOrder() const;

@@ -4,8 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <map>
-#include <string>
 
 namespace ses {
 
@@ -136,26 +134,6 @@ class Stopwatch {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// A named bag of counters and max-gauges, used by benchmark harnesses to
-/// collect per-run statistics.
-class MetricRegistry {
- public:
-  Counter& counter(const std::string& name) { return counters_[name]; }
-  MaxGauge& gauge(const std::string& name) { return gauges_[name]; }
-
-  const std::map<std::string, Counter>& counters() const { return counters_; }
-  const std::map<std::string, MaxGauge>& gauges() const { return gauges_; }
-
-  void Reset();
-
-  /// Multi-line human-readable dump, sorted by name.
-  std::string ToString() const;
-
- private:
-  std::map<std::string, Counter> counters_;
-  std::map<std::string, MaxGauge> gauges_;
 };
 
 }  // namespace ses

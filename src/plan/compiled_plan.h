@@ -19,10 +19,6 @@ struct PlanOptions {
   /// partitions and shards. When disabled, no filter is built and engines
   /// process every event.
   bool enable_prefilter = true;
-  /// Enables shared per-event evaluation of constant transition conditions
-  /// in every executor created from this plan (see
-  /// ExecutorOptions::shared_constant_evaluation).
-  bool shared_constant_evaluation = false;
   /// Partition attribute for partition-pure engines. Negative means
   /// auto-detect with FindPartitionAttribute; detection failure is not an
   /// error — the plan simply reports has_partition_attribute() == false and
@@ -100,7 +96,6 @@ class CompiledPlan {
   MatcherOptions matcher_options() const {
     MatcherOptions options;
     options.enable_prefilter = options_.enable_prefilter;
-    options.shared_constant_evaluation = options_.shared_constant_evaluation;
     return options;
   }
 

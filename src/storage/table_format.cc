@@ -123,14 +123,13 @@ Result<Event> DecodeEvent(const char** p, const char* limit,
   if (cur == nullptr) return Status::Corruption("truncated event timestamp");
   Timestamp timestamp = ZigZagDecode(raw);
 
-  std::vector<Value> values;
-  values.reserve(schema.num_attributes());
+  EventBuilder values(schema.num_attributes());
   for (int i = 0; i < schema.num_attributes(); ++i) {
     switch (schema.attribute(i).type) {
       case ValueType::kInt64: {
         cur = GetVarint64(cur, limit, &raw);
         if (cur == nullptr) return Status::Corruption("truncated int value");
-        values.emplace_back(ZigZagDecode(raw));
+        values.Append(ZigZagDecode(raw));
         break;
       }
       case ValueType::kDouble: {
@@ -139,7 +138,7 @@ Result<Event> DecodeEvent(const char** p, const char* limit,
         cur += 8;
         double d;
         std::memcpy(&d, &bits, 8);
-        values.emplace_back(d);
+        values.Append(d);
         break;
       }
       case ValueType::kString: {
@@ -148,14 +147,14 @@ Result<Event> DecodeEvent(const char** p, const char* limit,
         if (cur == nullptr || static_cast<uint64_t>(limit - cur) < len) {
           return Status::Corruption("truncated string value");
         }
-        values.emplace_back(std::string(cur, len));
+        values.Append(std::string(cur, len));
         cur += len;
         break;
       }
     }
   }
   *p = cur;
-  return Event(id, timestamp, std::move(values));
+  return std::move(values).Build(id, timestamp);
 }
 
 }  // namespace ses::storage

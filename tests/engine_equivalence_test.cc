@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -267,19 +268,48 @@ TEST(EngineEquivalence, PlanOptionVariantsDoNotChangeTheMatchSet) {
   auto expected = NormalizedKeys(RunEngine("serial", *baseline, stream));
 
   for (bool prefilter : {true, false}) {
-    for (bool shared_const : {true, false}) {
-      PlanOptions options;
-      options.enable_prefilter = prefilter;
-      options.shared_constant_evaluation = shared_const;
-      Result<std::shared_ptr<const CompiledPlan>> plan =
-          CompilePlan(pattern, options);
-      ASSERT_TRUE(plan.ok());
-      EXPECT_EQ(*plan != nullptr && (*plan)->shared_prefilter() != nullptr,
-                prefilter);
-      for (const std::string& name : AllEngineNames()) {
-        EXPECT_EQ(NormalizedKeys(RunEngine(name, *plan, stream)), expected)
-            << "engine " << name << " prefilter " << prefilter
-            << " shared_const " << shared_const;
+    PlanOptions options;
+    options.enable_prefilter = prefilter;
+    Result<std::shared_ptr<const CompiledPlan>> plan =
+        CompilePlan(pattern, options);
+    ASSERT_TRUE(plan.ok());
+    EXPECT_EQ(*plan != nullptr && (*plan)->shared_prefilter() != nullptr,
+              prefilter);
+    for (const std::string& name : AllEngineNames()) {
+      EXPECT_EQ(NormalizedKeys(RunEngine(name, *plan, stream)), expected)
+          << "engine " << name << " prefilter " << prefilter;
+    }
+  }
+}
+
+TEST(EngineEquivalence, MatchesOutliveTheEngineAndThePushedSlab) {
+  // Matches share their bound events' value payloads with the input; once
+  // the engine, the slab and the source relation are gone, the matches are
+  // the payloads' only owners and must still read every value (the
+  // address-sanitizer build turns a dangling read into a failure).
+  Result<std::shared_ptr<const CompiledPlan>> plan =
+      CompilePlan(CompletePattern());
+  ASSERT_TRUE(plan.ok());
+  for (const std::string& name : AllEngineNames()) {
+    std::vector<Match> matches;
+    std::map<EventId, std::string> rendered;  // id -> Event::ToString()
+    {
+      const EventRelation stream = KeyedStream(11, 8, 600);
+      for (const Event& event : stream) rendered[event.id()] = event.ToString();
+      std::vector<Event> slab(stream.begin(), stream.end());
+      EngineOptions options;
+      options.sink = CollectInto(&matches);
+      Result<std::unique_ptr<Engine>> engine =
+          CreateEngine(name, *plan, std::move(options));
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      ASSERT_TRUE((*engine)->PushBatch(std::span<const Event>(slab)).ok());
+      ASSERT_TRUE((*engine)->Flush().ok());
+    }
+    ASSERT_FALSE(matches.empty()) << name;
+    for (const Match& match : matches) {
+      for (const Binding& binding : match.bindings()) {
+        EXPECT_EQ(binding.event.ToString(), rendered.at(binding.event.id()))
+            << name;
       }
     }
   }

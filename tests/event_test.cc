@@ -2,14 +2,38 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <new>
+#include <thread>
+#include <vector>
 
+#include "event/columnar.h"
 #include "event/csv.h"
 #include "event/event.h"
 #include "event/relation.h"
 #include "event/schema.h"
 #include "event/value.h"
+
+// Counts every heap allocation of this test binary, so the event tests can
+// pin exactly how many allocations constructing and copying an Event costs.
+namespace {
+std::atomic<int64_t> g_allocations{0};
+}  // namespace
+
+void* operator new(size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+void* operator new(size_t size) {
+  if (void* block = operator new(size, std::nothrow)) return block;
+  throw std::bad_alloc();
+}
+void operator delete(void* block) noexcept { std::free(block); }
+void operator delete(void* block, size_t) noexcept { std::free(block); }
 
 namespace ses {
 namespace {
@@ -102,6 +126,114 @@ TEST(Event, AccessorsAndToString) {
   EXPECT_EQ(e.num_values(), 3);
   EXPECT_EQ(e.value(1).string(), "B");
   EXPECT_EQ(e.ToString(), "e3@2+11:00:00{1, B, 84}");
+}
+
+TEST(Event, DefaultConstructedHasNoValues) {
+  Event e;
+  EXPECT_EQ(e.id(), kInvalidEventId);
+  EXPECT_EQ(e.timestamp(), 0);
+  EXPECT_EQ(e.num_values(), 0);
+  EXPECT_TRUE(e.values().empty());
+  Event copy = e;
+  EXPECT_EQ(copy.num_values(), 0);
+  EXPECT_EQ(e.ToString(), "e-1@0+00:00:00{}");
+}
+
+TEST(Event, CopySharesValuesButOwnsIdAndTimestamp) {
+  Event original(1, 100, {Value(int64_t{7}), Value("B"), Value(2.5)});
+  Event copy = original;
+  EXPECT_EQ(&copy.value(1), &original.value(1));  // one payload, not two
+  copy.set_id(9);
+  copy.set_timestamp(500);
+  EXPECT_EQ(original.id(), 1);
+  EXPECT_EQ(original.timestamp(), 100);
+  EXPECT_EQ(copy.id(), 9);
+  EXPECT_EQ(copy.timestamp(), 500);
+  EXPECT_EQ(copy.value(1).string(), "B");
+
+  // Assignment shares too; a separately constructed event does not.
+  Event assigned;
+  assigned = copy;
+  EXPECT_EQ(&assigned.value(1), &original.value(1));
+  Event same_values(1, 100, {Value(int64_t{7}), Value("B"), Value(2.5)});
+  EXPECT_NE(&same_values.value(1), &original.value(1));
+  EXPECT_TRUE(std::ranges::equal(same_values.values(), original.values()));
+
+  // Moving hands the payload over without touching it.
+  const Value* payload = &original.value(0);
+  Event moved = std::move(original);
+  EXPECT_EQ(&moved.value(0), payload);
+  EXPECT_EQ(original.num_values(), 0);  // the moved-from handle is empty
+}
+
+TEST(Event, CopyAllocatesNothingAndConstructionAllocatesOnce) {
+  // Short strings stay in the std::string inline buffer, so every
+  // allocation counted below belongs to the event itself.
+  std::vector<Value> values = {Value(int64_t{1}), Value("B"), Value(84.0)};
+  int64_t before = g_allocations.load();
+  Event event(1, 100, std::move(values));
+  EXPECT_EQ(g_allocations.load() - before, 1);
+
+  before = g_allocations.load();
+  Event copy = event;
+  Event assigned;
+  assigned = copy;
+  std::vector<Event> slab(4, event);  // the vector's own buffer: one
+  EXPECT_EQ(g_allocations.load() - before, 1);
+
+  before = g_allocations.load();
+  EventBuilder builder(2);
+  builder.Append(Value(int64_t{7}));
+  builder.Append(Value("mgl"));
+  Event built = std::move(builder).Build(2, 200);
+  EXPECT_EQ(g_allocations.load() - before, 1);
+  EXPECT_EQ(built.ToString(), "e2@0+00:03:20{7, mgl}");
+}
+
+TEST(Event, AbandonedBuilderReleasesWhatItBuilt) {
+  // A decoder that fails halfway drops its builder; the values built so
+  // far are destroyed (the leak checker of sanitizer builds watches this).
+  EventBuilder builder(3);
+  builder.Append(Value(int64_t{1}));
+  builder.Append(Value(std::string(64, 'x')));  // heap-allocated string
+}
+
+TEST(Event, ValuesOutliveTheRelationAndSlabTheyCameFrom) {
+  const std::string label(40, 'L');  // longer than the inline buffer
+  Event from_relation;
+  Event from_columns;
+  {
+    EventRelation relation(TestSchema());
+    Event event(kInvalidEventId, 10,
+                {Value(int64_t{1}), Value(label), Value(0.5)});
+    ASSERT_TRUE(relation.Append(event).ok());
+    std::vector<Event> slab(relation.begin(), relation.end());
+    ColumnarBatch batch = ColumnarBatch::FromEvents(relation.schema(), slab);
+    from_relation = slab[0];
+    from_columns = batch.RowEvent(0);
+  }
+  EXPECT_EQ(from_relation.value(1).string(), label);
+  EXPECT_EQ(from_columns.value(1).string(), label);
+  EXPECT_EQ(from_columns.id(), 1);
+  EXPECT_EQ(from_columns.timestamp(), 10);
+}
+
+TEST(Event, CopiesAcrossThreadsShareOnePayload) {
+  // Reference counts cross threads (ingest thread to shard workers); the
+  // thread-sanitizer build checks this for races.
+  Event event(1, 1, {Value(int64_t{3}), Value(std::string(32, 'c'))});
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([event] {
+      std::vector<Event> copies;
+      for (int i = 0; i < 1000; ++i) copies.push_back(event);
+      for (const Event& copy : copies) {
+        EXPECT_EQ(&copy.value(1), &event.value(1));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(event.value(1).string(), std::string(32, 'c'));
 }
 
 TEST(EventRelation, AppendValidatesArityTypeAndOrder) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <filesystem>
 #include <fstream>
 
@@ -281,7 +283,8 @@ TEST(StorageFuzz, EveryByteFlipIsDetectedOrHarmless) {
     ASSERT_EQ(loaded->size(), original.size()) << "offset " << offset;
     for (size_t i = 0; i < original.size(); ++i) {
       ASSERT_EQ(loaded->event(i).timestamp(), original.event(i).timestamp());
-      ASSERT_EQ(loaded->event(i).values(), original.event(i).values());
+      ASSERT_TRUE(std::ranges::equal(loaded->event(i).values(),
+                                     original.event(i).values()));
     }
     ++harmless;
   }

@@ -9,10 +9,10 @@
 namespace ses {
 namespace {
 
-std::shared_ptr<const Event> MakeEvent(EventId id, Timestamp ts) {
-  return std::make_shared<const Event>(
-      Event(id, ts, {Value(int64_t{1}), Value("A"), Value(0.0),
-                     Value(std::string("u"))}));
+Event MakeEvent(EventId id, Timestamp ts) {
+  return Event(id, ts,
+               {Value(int64_t{1}), Value("A"), Value(0.0),
+                Value(std::string("u"))});
 }
 
 TEST(MatchBuffer, EmptyBuffer) {

@@ -97,25 +97,12 @@ TEST(Metrics, StopwatchMeasuresElapsedTime) {
   // Can't assert wall time robustly; only monotonicity and non-negativity.
   double first = watch.ElapsedSeconds();
   EXPECT_GE(first, 0.0);
-  volatile int sink = 0;
+  volatile int64_t sink = 0;  // the sum overflows an int
   for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(watch.ElapsedSeconds(), first);
   EXPECT_GE(watch.ElapsedNanos(), 0);
   watch.Restart();
   EXPECT_GE(watch.ElapsedSeconds(), 0.0);
-}
-
-TEST(Metrics, RegistryNamesAndDump) {
-  MetricRegistry registry;
-  registry.counter("events").Increment(3);
-  registry.gauge("instances").Observe(7);
-  EXPECT_EQ(registry.counter("events").value(), 3);
-  EXPECT_EQ(registry.gauge("instances").max(), 7);
-  std::string dump = registry.ToString();
-  EXPECT_NE(dump.find("events = 3"), std::string::npos);
-  EXPECT_NE(dump.find("instances = 7 (max 7)"), std::string::npos);
-  registry.Reset();
-  EXPECT_EQ(registry.counter("events").value(), 0);
 }
 
 Event MakeEvent(const std::string& type) {

@@ -13,6 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <semaphore>
@@ -150,6 +153,51 @@ std::unique_ptr<net::Server> StartServer(net::ServerOptions options) {
   EXPECT_TRUE(server.ok()) << server.status().ToString();
   return std::move(*server);
 }
+
+/// A gate for ServerOptions::eval_gate. Every ingest item a worker pops
+/// announces itself (WaitArrival) at the gate; the first `holds` of them
+/// then park there until Open(), later ones pass straight through. Tests
+/// wait on arrivals instead of sleeping, so worker progress is observed,
+/// not guessed.
+class EvalGate {
+ public:
+  explicit EvalGate(int holds = std::numeric_limits<int>::max())
+      : holds_(holds) {}
+
+  std::function<void()> Hook() {
+    return [this] {
+      const bool hold = holds_.fetch_sub(1) > 0;
+      arrivals_.release();
+      if (hold) open_.wait(false);
+    };
+  }
+
+  /// Waits for the next item to reach the gate; false after 30 s.
+  bool WaitArrival() {
+    return arrivals_.try_acquire_for(std::chrono::seconds(30));
+  }
+
+  void Open() {
+    open_.store(true);
+    open_.notify_all();
+  }
+
+  /// Opens the gate when it goes out of scope. Declare it after the server,
+  /// so a failed assertion cannot leave ~Server joining a parked worker.
+  class OpenOnExit {
+   public:
+    explicit OpenOnExit(EvalGate* gate) : gate_(gate) {}
+    ~OpenOnExit() { gate_->Open(); }
+
+   private:
+    EvalGate* gate_;
+  };
+
+ private:
+  std::atomic<int> holds_;
+  std::counting_semaphore<> arrivals_{0};
+  std::atomic<bool> open_{false};
+};
 
 Result<std::unique_ptr<net::Client>> ConnectClient(uint16_t port,
                                                    int busy_retry_ms = 0) {
@@ -293,12 +341,15 @@ TEST(ServerLifecycle, DisconnectFreesPlansAndPendingMatches) {
 
 TEST(ServerLifecycle, FullQueueAnswersBusyAndDropsNothing) {
   // Hold the ingest worker at a gate so the 1-slot queue fills: slab 1 is
-  // popped and blocked, slab 2 occupies the queue, slab 3 must be Busy.
-  std::counting_semaphore<1024> gate(0);
+  // popped and held, slab 2 occupies the queue, slab 3 must be Busy.
+  EvalGate gate;
   net::ServerOptions options;
   options.queue_capacity = 1;
-  options.eval_gate = [&] { gate.acquire(); };
+  options.eval_gate = gate.Hook();
   std::unique_ptr<net::Server> server = StartServer(std::move(options));
+  // Declared after the server, so it opens the gate before ~Server joins
+  // the worker even when an assertion below returns early.
+  EvalGate::OpenOnExit open_on_exit(&gate);
 
   Result<std::unique_ptr<net::Client>> client = ConnectClient(server->port());
   ASSERT_TRUE(client.ok()) << client.status().ToString();
@@ -308,30 +359,20 @@ TEST(ServerLifecycle, FullQueueAnswersBusyAndDropsNothing) {
   std::span<const Event> all(stream.events());
   Result<bool> first = (*client)->Push(all.subspan(0, 20));
   ASSERT_TRUE(first.ok() && *first);
+  ASSERT_TRUE(gate.WaitArrival()) << "worker never popped slab 1";
   Result<bool> second = (*client)->Push(all.subspan(20, 20));
   ASSERT_TRUE(second.ok() && *second);
-  // Wait until the worker has popped slab 1 (it blocks in the gate) and
-  // slab 2 sits in the queue; then admission must answer Busy.
-  Result<bool> third(false);
-  for (int i = 0; i < 500; ++i) {
-    third = (*client)->Push(all.subspan(40, 20));
-    ASSERT_TRUE(third.ok()) << third.status().ToString();
-    if (!*third) break;  // Busy observed
-    // Admitted — the worker drained something; push the next attempt.
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  ASSERT_FALSE(*third) << "queue never filled";
+  Result<bool> third = (*client)->Push(all.subspan(40, 20));
+  ASSERT_TRUE(third.ok()) << third.status().ToString();
+  ASSERT_FALSE(*third) << "a full queue admitted slab 3";
 
-  // Release the worker and re-send the rejected slab: nothing admitted was
-  // lost, and the retried slab completes the stream.
-  gate.release(1000);
-  Result<bool> retried(false);
-  for (int i = 0; i < 500; ++i) {
-    retried = (*client)->Push(all.subspan(40, 20));
-    ASSERT_TRUE(retried.ok()) << retried.status().ToString();
-    if (*retried) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
+  // Release the worker. Once slab 2 reaches the gate the queue is empty,
+  // so the re-sent slab 3 is admitted: nothing admitted was lost, and the
+  // retried slab completes the stream.
+  gate.Open();
+  ASSERT_TRUE(gate.WaitArrival()) << "worker never popped slab 2";
+  Result<bool> retried = (*client)->Push(all.subspan(40, 20));
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
   ASSERT_TRUE(*retried);
   ASSERT_TRUE((*client)->Flush().ok());
 
@@ -511,13 +552,11 @@ TEST(ServerFlush, GlobalFlushWaitsForOtherConnectionsAdmittedSlabs) {
   // Client B's slab is admitted but its worker is held at the gate when
   // client A flushes: the flush barrier must wait, evaluate B's slab, and
   // deliver B's matches — not invalidate them.
-  std::counting_semaphore<1024> gate(0);
-  std::atomic<bool> gate_open{false};
+  EvalGate gate(/*holds=*/1);
   net::ServerOptions options;
-  options.eval_gate = [&] {
-    if (!gate_open.load()) gate.acquire();
-  };
+  options.eval_gate = gate.Hook();
   std::unique_ptr<net::Server> server = StartServer(std::move(options));
+  EvalGate::OpenOnExit open_on_exit(&gate);
 
   Result<std::unique_ptr<net::Client>> a = ConnectClient(server->port());
   Result<std::unique_ptr<net::Client>> b = ConnectClient(server->port());
@@ -530,19 +569,22 @@ TEST(ServerFlush, GlobalFlushWaitsForOtherConnectionsAdmittedSlabs) {
   Result<bool> pushed_b =
       (*b)->Push(std::span<const Event>(stream_b.events()));
   ASSERT_TRUE(pushed_b.ok() && *pushed_b);  // admitted, not yet evaluated
+  ASSERT_TRUE(gate.WaitArrival()) << "B's worker never popped its slab";
   Result<bool> pushed_a =
       (*a)->Push(std::span<const Event>(stream_a.events()));
   ASSERT_TRUE(pushed_a.ok() && *pushed_a);
 
-  // A's flush from a helper thread (it blocks on the barrier); open the
-  // gate shortly after so both workers drain.
-  std::thread flusher([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    gate_open.store(true);
-    gate.release(1000);
+  // A's flush blocks on the barrier; a helper opens the gate only after
+  // A's worker has popped A's slab and then the flush itself, so the
+  // barrier is raised while B's slab is still held.
+  std::thread opener([&] {
+    const bool popped = gate.WaitArrival() && gate.WaitArrival();
+    gate.Open();
+    EXPECT_TRUE(popped) << "A's worker never reached its flush";
   });
-  ASSERT_TRUE((*a)->Flush().ok());
-  flusher.join();
+  Status flushed = (*a)->Flush();
+  opener.join();
+  ASSERT_TRUE(flushed.ok()) << flushed.ToString();
   ASSERT_TRUE((*b)->Flush().ok());  // idempotent; drains B's matches
 
   const Schema schema = TestSchema();

@@ -70,7 +70,7 @@ TEST(Replicate, CopiesKeepContent) {
     for (int k = 0; k < 3; ++k) {
       const Event& copy = d3->event(3 * i + k);
       EXPECT_EQ(copy.timestamp(), base.event(i).timestamp() + k);
-      EXPECT_EQ(copy.values(), base.event(i).values());
+      EXPECT_TRUE(std::ranges::equal(copy.values(), base.event(i).values()));
     }
   }
 }
@@ -142,7 +142,7 @@ TEST(Chemotherapy, DeterministicForSeed) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a.event(i).timestamp(), b.event(i).timestamp());
-    EXPECT_EQ(a.event(i).values(), b.event(i).values());
+    EXPECT_TRUE(std::ranges::equal(a.event(i).values(), b.event(i).values()));
   }
   options.seed = 4;
   EventRelation c = GenerateChemotherapy(options);
