@@ -22,11 +22,24 @@ struct Transition {
   /// with respect to constants, to variables of preceding event set
   /// patterns, and to variables of the source state — plus the synthesized
   /// inter-set ordering constraints v'.T < v.T added by concatenation
-  /// (§4.2.2). Ordered constants-first: conditions[0, num_constant) are
-  /// the constant conditions (v.A φ C), the rest reference variables.
+  /// (§4.2.2). Ordered in three ranges:
+  ///   [0, num_constant)               constant conditions (v.A φ C);
+  ///   [num_constant, num_evaluated)   variable conditions the executor
+  ///                                   checks against the match buffer;
+  ///   [num_evaluated, size())         order-implied conditions, which hold
+  ///                                   by construction and are never
+  ///                                   evaluated.
+  /// A condition is order-implied when it compares the plain timestamps of
+  /// `variable` and of another variable v' bound in the source state and
+  /// only says that v' is earlier: v'.T < v.T, v'.T <= v.T, v'.T != v.T,
+  /// or a mirrored form (v.T > v'.T, ...). Every binding in the buffer was
+  /// consumed before the event being bound, and timestamps strictly
+  /// increase (docs/SEMANTICS.md). The full Θδ stays here for printing.
   std::vector<Condition> conditions;
   /// Number of leading constant conditions in `conditions`.
   int num_constant = 0;
+  /// End of the range of conditions the executor evaluates.
+  int num_evaluated = 0;
   /// Dense id across all transitions of the automaton; used by the
   /// executor's per-event constant-verdict memo.
   int id = -1;

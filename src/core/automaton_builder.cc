@@ -11,44 +11,68 @@ namespace {
 
 std::atomic<int64_t> g_builds_started{0};
 
-/// Collects Θδ for the transition binding `variable` out of a state whose
-/// bound variables are `bound_mask` (= prefix of preceding sets plus the
-/// subset S of the current set): all conditions that constrain `variable`
-/// against a constant, against itself, or against a bound variable
-/// (§4.2.1).
-std::vector<Condition> CollectConditions(const Pattern& pattern,
-                                         VariableId variable,
-                                         VariableMask bound_mask,
-                                         int* num_constant) {
+/// True if `c`, on a transition binding `variable` out of a state whose
+/// bound variables are `bound_mask`, only says that an event bound earlier
+/// is earlier: both sides are the plain timestamp T, the other variable v'
+/// is bound in the source state, and the operator normalizes to
+/// v'.T < v.T, v'.T <= v.T or v'.T != v.T. Bindings arrive in strictly
+/// increasing timestamp order, so such a condition holds for every buffer
+/// the executor can hold and is never evaluated (see Transition).
+bool IsOrderImplied(const Condition& c, VariableId variable,
+                    VariableMask bound_mask) {
+  if (c.is_constant_condition() || c.has_offset() ||
+      !c.lhs().is_timestamp() || !c.rhs_ref().is_timestamp()) {
+    return false;
+  }
+  VariableId other = *c.OtherVariable(variable);
+  if (other == variable || !bits::Test(bound_mask, other)) return false;
+  ComparisonOp op =
+      c.lhs().variable == other ? c.op() : MirrorComparison(c.op());
+  return op == ComparisonOp::kLt || op == ComparisonOp::kLe ||
+         op == ComparisonOp::kNe;
+}
+
+/// Fills t->conditions with Θδ for the transition binding t->variable out
+/// of a state whose bound variables are `bound_mask` (= prefix of preceding
+/// sets plus the subset S of the current set): all conditions that
+/// constrain the variable against a constant, against itself, or against a
+/// bound variable (§4.2.1), then the concatenation constraints v'.T < v.T
+/// for every variable v' in `ordering_mask` (§4.2.2). Orders them into the
+/// three ranges documented on Transition.
+void CollectConditions(const Pattern& pattern, VariableMask bound_mask,
+                       VariableMask ordering_mask, Transition* t) {
+  const VariableId variable = t->variable;
+  std::vector<Condition>& conditions = t->conditions;
+  VariableMask allowed = bits::Set(bound_mask, variable);
   // Constant conditions first: they depend only on the input event, so the
   // executor can evaluate them once per (event, transition) instead of per
   // instance and reject cheaply.
-  std::vector<Condition> conditions;
-  VariableMask allowed = bits::Set(bound_mask, variable);
   for (const Condition& c : pattern.conditions()) {
     if (c.References(variable) && c.is_constant_condition()) {
       conditions.push_back(c);
     }
   }
-  *num_constant = static_cast<int>(conditions.size());
-  for (const Condition& c : pattern.conditions()) {
-    if (!c.References(variable) || c.is_constant_condition()) continue;
-    VariableId other = *c.OtherVariable(variable);
-    if (bits::Test(allowed, other)) {
-      conditions.push_back(c);
+  t->num_constant = static_cast<int>(conditions.size());
+  // Then the variable conditions: first those the executor checks, then
+  // the order-implied ones.
+  auto collect_variable_conditions = [&](bool implied) {
+    for (const Condition& c : pattern.conditions()) {
+      if (!c.References(variable) || c.is_constant_condition()) continue;
+      VariableId other = *c.OtherVariable(variable);
+      if (bits::Test(allowed, other) &&
+          IsOrderImplied(c, variable, bound_mask) == implied) {
+        conditions.push_back(c);
+      }
     }
-  }
-  return conditions;
-}
-
-/// Appends the inter-set ordering constraints v'.T < v.T for every
-/// variable v' of the preceding sets (§4.2.2, concatenation step).
-void AppendOrderingConstraints(VariableMask prefix_mask, VariableId variable,
-                               std::vector<Condition>* conditions) {
-  bits::ForEachBit(prefix_mask, [&](int prev) {
+  };
+  collect_variable_conditions(false);
+  t->num_evaluated = static_cast<int>(conditions.size());
+  collect_variable_conditions(true);
+  // The concatenation constraints are order-implied by construction.
+  bits::ForEachBit(ordering_mask, [&](int prev) {
     AttributeRef lhs{prev, AttributeRef::kTimestampAttribute};
     AttributeRef rhs{variable, AttributeRef::kTimestampAttribute};
-    conditions->emplace_back(lhs, ComparisonOp::kLt, rhs);
+    conditions.emplace_back(lhs, ComparisonOp::kLt, rhs);
   });
 }
 
@@ -151,16 +175,13 @@ SesAutomaton AutomatonBuilder::Build(const Pattern& pattern) {
         t.from = from;
         t.to = automaton.state_index_.at(bits::Set(state_mask, v));
         t.variable = v;
-        t.conditions =
-            CollectConditions(pattern, v, state_mask, &t.num_constant);
-        if (s == 0 && (state_mask & pattern.prefix_mask(k)) != 0) {
-          // First variable of set k: events bound to preceding sets must
-          // be strictly earlier (concatenation constraints, §4.2.2). Only
-          // variables actually bound in M can be constrained — unbound
-          // optional variables of earlier sets have no events to compare.
-          AppendOrderingConstraints(state_mask & pattern.prefix_mask(k), v,
-                                    &t.conditions);
-        }
+        // First variable of set k: events bound to preceding sets must be
+        // strictly earlier (concatenation constraints, §4.2.2). Only
+        // variables actually bound in M can be constrained — unbound
+        // optional variables of earlier sets have no events to compare.
+        VariableMask ordering_mask =
+            s == 0 ? state_mask & pattern.prefix_mask(k) : 0;
+        CollectConditions(pattern, state_mask, ordering_mask, &t);
         automaton.outgoing_[from].push_back(std::move(t));
       });
 
@@ -172,8 +193,7 @@ SesAutomaton AutomatonBuilder::Build(const Pattern& pattern) {
         t.from = from;
         t.to = from;
         t.variable = v;
-        t.conditions =
-            CollectConditions(pattern, v, state_mask, &t.num_constant);
+        CollectConditions(pattern, state_mask, 0, &t);
         automaton.outgoing_[from].push_back(std::move(t));
       });
     }

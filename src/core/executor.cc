@@ -148,8 +148,10 @@ bool SesExecutor::EvaluateTransition(const Transition& transition,
     }
     if (!verdict.satisfied) return false;
   }
+  // Order-implied conditions (conditions[num_evaluated, size())) hold by
+  // construction: every bound event is older than `event`.
   for (size_t i = static_cast<size_t>(transition.num_constant);
-       i < transition.conditions.size(); ++i) {
+       i < static_cast<size_t>(transition.num_evaluated); ++i) {
     if (!EvaluateVariableCondition(transition.conditions[i],
                                    transition.variable, buffer, event)) {
       return false;
@@ -239,7 +241,8 @@ void SesExecutor::Checkpoint(std::string* out) const {
   storage::PutSigned(out, stats_.matches_emitted);
 }
 
-Status SesExecutor::Restore(const char** p, const char* limit) {
+Status SesExecutor::Restore(const char** p, const char* limit,
+                            Timestamp latest) {
   Reset();
   const Schema& schema = automaton_->pattern().schema();
   uint64_t num_instances = 0;
@@ -255,16 +258,32 @@ Status SesExecutor::Restore(const char** p, const char* limit) {
     }
     uint64_t num_bindings = 0;
     SES_RETURN_IF_ERROR(storage::GetCount(p, limit, &num_bindings));
+    Timestamp previous = 0;
     MatchBuffer buffer;
     for (uint64_t b = 0; b < num_bindings; ++b) {
       int64_t variable = 0;
       SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &variable));
+      if (variable < 0 || variable >= automaton_->pattern().num_variables()) {
+        Reset();
+        return Status::Corruption(
+            "checkpoint binding of a variable outside the pattern");
+      }
       Event event;
       if (Status s = storage::GetEventRecord(p, limit, schema, &event);
           !s.ok()) {
         Reset();
         return s;
       }
+      // The executor relies on bindings in strictly increasing time order
+      // (order-implied conditions are never evaluated, min_timestamp() is
+      // the first binding's), so a restored buffer must have it.
+      if ((!buffer.empty() && event.timestamp() <= previous) ||
+          event.timestamp() > latest) {
+        Reset();
+        return Status::Corruption(
+            "checkpoint match buffer out of time order");
+      }
+      previous = event.timestamp();
       buffer = buffer.Extend(static_cast<VariableId>(variable), event);
     }
     instances_.push_back(

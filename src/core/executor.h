@@ -79,9 +79,12 @@ class SesExecutor {
 
   /// Restores state written by Checkpoint() into this executor (discarding
   /// whatever it held). The executor must run the same automaton the
-  /// checkpoint was taken from; a state id outside the automaton is
-  /// Corruption. On error the executor is left Reset().
-  Status Restore(const char** p, const char* limit);
+  /// checkpoint was taken from; a state id or variable outside the
+  /// automaton is Corruption, and so is a match buffer whose binding
+  /// timestamps are not strictly increasing or one with a binding later
+  /// than `latest` (the timestamp of the last event consumed before the
+  /// checkpoint). On error the executor is left Reset().
+  Status Restore(const char** p, const char* limit, Timestamp latest);
 
   const ExecutorStats& stats() const { return stats_; }
   size_t num_active_instances() const { return instances_.size(); }
@@ -102,6 +105,7 @@ class SesExecutor {
   /// bindings collected in `buffer`. Constant conditions depend only on the
   /// event, so their verdict is computed once per (event, transition) and
   /// reused for every instance in the transition's source state.
+  /// Order-implied conditions are skipped (see Transition).
   bool EvaluateTransition(const Transition& transition,
                           const MatchBuffer& buffer, const Event& event);
 

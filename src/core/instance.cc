@@ -5,10 +5,21 @@ namespace ses {
 MatchBuffer MatchBuffer::Extend(VariableId variable,
                                 const Event& event) const {
   MatchBuffer extended;
-  extended.head_ = std::make_shared<const Node>(head_, variable, event);
+  extended.head_ = new Node{head_, 1, variable, event};
+  if (head_ != nullptr) ++head_->refs;
   extended.min_timestamp_ = empty() ? event.timestamp() : min_timestamp_;
   extended.size_ = size_ + 1;
   return extended;
+}
+
+void MatchBuffer::Release(Node* node) {
+  // A loop, not recursion through destructors: a group variable can bind
+  // millions of events, and one stack frame per node would overflow.
+  while (node != nullptr && --node->refs == 0) {
+    Node* parent = node->parent;
+    delete node;
+    node = parent;
+  }
 }
 
 std::vector<Binding> MatchBuffer::ToBindings() const {

@@ -1,5 +1,7 @@
 #include "core/matcher.h"
 
+#include <limits>
+
 #include "common/strings.h"
 #include "core/automaton_builder.h"
 #include "storage/checkpoint.h"
@@ -62,7 +64,10 @@ Status Matcher::Restore(const char** p, const char* limit) {
   Reset();
   SES_RETURN_IF_ERROR(storage::GetBool(p, limit, &has_watermark_));
   SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &watermark_));
-  if (Status s = executor_->Restore(p, limit); !s.ok()) {
+  // Before the first event no binding exists, so any is later than "never".
+  Timestamp latest =
+      has_watermark_ ? watermark_ : std::numeric_limits<Timestamp>::min();
+  if (Status s = executor_->Restore(p, limit, latest); !s.ok()) {
     Reset();
     return s;
   }

@@ -35,6 +35,7 @@ enum class TokenKind {
 
 std::string_view TokenKindToString(TokenKind kind);
 
+/// One lexical token of the DSL with its source position (1-based).
 struct Token {
   TokenKind kind;
   std::string text;  // raw text; for kString the unquoted contents

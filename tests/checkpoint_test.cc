@@ -30,6 +30,7 @@
 #include "catalog/catalog_engine.h"
 #include "catalog/query_catalog.h"
 #include "core/match.h"
+#include "core/matcher.h"
 #include "engine/registry.h"
 #include "plan/compiled_plan.h"
 #include "query/parser.h"
@@ -725,6 +726,66 @@ TEST(CheckpointPrimitives, RoundtripAllScalarKinds) {
   EXPECT_EQ(p, limit);
   // One more read past the end must fail cleanly.
   EXPECT_EQ(storage::GetCount(&p, limit, &count).code(),
+            StatusCode::kCorruption);
+}
+
+TEST(CheckpointPrimitives, MatcherRejectsBuffersOutOfTimeOrder) {
+  // A matcher payload built by hand: watermark, one instance in state
+  // {a, p+} with the given (variable, timestamp) bindings, then the ten
+  // statistics counters. The executor relies on strictly increasing
+  // binding timestamps no later than the watermark, so a payload that
+  // breaks either is Corruption even though it is well formed; so is a
+  // binding of an unknown variable.
+  Result<Pattern> pattern = ParsePattern(
+      "PATTERN {a} -> {p+} WHERE a.L = 'A' AND p.L = 'P' WITHIN 10h",
+      workload::ChemotherapySchema());
+  ASSERT_TRUE(pattern.ok());
+  const VariableId a = *pattern->VariableByName("a");
+  const VariableId p = *pattern->VariableByName("p");
+  std::shared_ptr<const SesAutomaton> automaton = CompileAutomaton(*pattern);
+  Result<StateId> state =
+      automaton->StateByMask((VariableMask{1} << a) | (VariableMask{1} << p));
+  ASSERT_TRUE(state.ok());
+  auto payload = [&](Timestamp watermark,
+                     std::vector<std::pair<VariableId, Timestamp>> bindings) {
+    std::string out;
+    storage::PutBool(&out, true);
+    storage::PutSigned(&out, watermark);
+    storage::PutCount(&out, 1);
+    storage::PutSigned(&out, *state);
+    storage::PutCount(&out, bindings.size());
+    EventId id = 1;
+    for (const auto& [variable, timestamp] : bindings) {
+      Event event(id++, timestamp,
+                  {Value(int64_t{1}), Value(variable == a ? "A" : "P"),
+                   Value(0.0), Value(std::string("u"))});
+      storage::PutSigned(&out, variable);
+      storage::PutEventRecord(&out, event, pattern->schema());
+    }
+    for (int i = 0; i < 10; ++i) storage::PutSigned(&out, 0);
+    return out;
+  };
+  auto restore = [&automaton](const std::string& bytes) {
+    Matcher matcher(automaton);
+    const char* cursor = bytes.data();
+    Status status = matcher.Restore(&cursor, bytes.data() + bytes.size());
+    if (!status.ok()) {
+      EXPECT_EQ(matcher.num_active_instances(), 0u);
+    }
+    return status;
+  };
+  // In order and no later than the watermark: accepted.
+  EXPECT_TRUE(restore(payload(30, {{a, 10}, {p, 20}, {p, 30}})).ok());
+  // Not strictly increasing: a tie, then a step back.
+  EXPECT_EQ(restore(payload(30, {{a, 10}, {p, 10}})).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(restore(payload(30, {{a, 20}, {p, 10}})).code(),
+            StatusCode::kCorruption);
+  // A binding later than the watermark.
+  EXPECT_EQ(restore(payload(25, {{a, 10}, {p, 20}, {p, 30}})).code(),
+            StatusCode::kCorruption);
+  // A binding of a variable the pattern does not have.
+  EXPECT_EQ(restore(payload(30, {{a, 10}, {VariableId{7}, 20}})).code(),
             StatusCode::kCorruption);
 }
 

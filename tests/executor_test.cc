@@ -332,6 +332,72 @@ TEST(Executor, ConstantConditionsEvaluateOncePerEventAndTransition) {
   EXPECT_EQ(stats.transitions_evaluated, 442);
 }
 
+TEST(Executor, OrderImpliedConditionsAreNeverEvaluated) {
+  // Only the constant conditions are evaluated, once per (event,
+  // transition) with an occupied source state: event 1 (A) start -a->;
+  // event 2 (B) start -a->, {a} -b->; event 3 (A) start -a-> ({a, b} has
+  // no outgoing transition); event 4 (B) start -a->, {a} -b->. Total 6.
+  // The §4.2.2 constraint a.T < b.T on {a} -b-> is never evaluated, nor is
+  // a user-written condition of the same shape in either orientation.
+  const std::string head = "PATTERN {a} -> {b} WHERE a.L = 'A' AND b.L = 'B'";
+  EventRelation stream = MakeStream({{"A", 1}, {"B", 2}, {"A", 3}, {"B", 4}});
+  auto run = [&stream](const std::string& query, ExecutorStats* stats) {
+    Result<std::vector<Match>> matches =
+        MatchRelation(MustParse(query), stream, MatcherOptions{}, stats);
+    EXPECT_TRUE(matches.ok());
+    return IdSets(*matches);
+  };
+  const std::vector<std::vector<EventId>> all = {{1, 2}, {3, 4}};
+  ExecutorStats stats;
+  EXPECT_EQ(run(head + " WITHIN 10h", &stats), all);
+  EXPECT_EQ(stats.conditions_evaluated, 6);
+  EXPECT_EQ(run(head + " AND a.T < b.T WITHIN 10h", &stats), all);
+  EXPECT_EQ(stats.conditions_evaluated, 6);
+  EXPECT_EQ(run(head + " AND b.T > a.T WITHIN 10h", &stats), all);
+  EXPECT_EQ(stats.conditions_evaluated, 6);
+  // An offset is evaluated: once per {a} instance offered a B (events 2
+  // and 4), and it holds (the B follows its A by one hour).
+  EXPECT_EQ(run(head + " AND b.T <= a.T + 7200 WITHIN 10h", &stats), all);
+  EXPECT_EQ(stats.conditions_evaluated, 8);
+  // A condition asking the bound variable to be the earlier one is
+  // evaluated, and fails, so {a} instances survive: 7 constant
+  // evaluations (event 3 now also meets {a} -b->) plus 1 variable
+  // evaluation at event 2 and 2 at event 4.
+  EXPECT_TRUE(run(head + " AND b.T < a.T WITHIN 10h", &stats).empty());
+  EXPECT_EQ(stats.conditions_evaluated, 10);
+}
+
+TEST(Executor, LongGroupBindingIsReleasedWithoutStackOverflow) {
+  // One A followed by 1.5 million P events: the single instance binds all
+  // of them to p+, and Flush releases a buffer of 1.5 million nodes.
+  // Releasing it one stack frame per node overflowed an 8 MiB stack. The P
+  // events share one value payload, so the test holds only the buffer.
+  constexpr int64_t kEvents = 1'500'000;
+  Matcher matcher(MustParse(
+      "PATTERN {a} -> {p+} WHERE a.L = 'A' AND p.L = 'P' WITHIN 100000h"));
+  auto make = [](const std::string& type) {
+    return Event(0, 0, {Value(int64_t{1}), Value(type), Value(0.0),
+                        Value(std::string("u"))});
+  };
+  Event a = make("A");
+  Event p = make("P");
+  std::vector<Match> matches;
+  a.set_id(1);
+  a.set_timestamp(1);
+  ASSERT_TRUE(matcher.Push(a, &matches).ok());
+  for (int64_t i = 2; i <= kEvents; ++i) {
+    p.set_id(i);
+    p.set_timestamp(i);
+    ASSERT_TRUE(matcher.Push(p, &matches).ok());
+  }
+  matcher.Flush(&matches);
+  ASSERT_EQ(matches.size(), 1u);
+  EXPECT_EQ(matches[0].size(), static_cast<size_t>(kEvents));
+  EXPECT_EQ(matches[0].end_time(), kEvents);
+  matches.clear();
+  EXPECT_EQ(matcher.num_active_instances(), 0u);
+}
+
 TEST(Executor, TimestampConditionsInPatterns) {
   // Explicit timestamp conditions via the reserved attribute T.
   Pattern p = MustParse(

@@ -70,6 +70,38 @@ TEST(MatchBuffer, ForEachVisitsNewestFirst) {
   EXPECT_EQ(seen, (std::vector<EventId>{2, 1}));
 }
 
+TEST(MatchBuffer, CopiesShareNodesAndOutliveTheOriginal) {
+  MatchBuffer copy;
+  {
+    MatchBuffer original = MatchBuffer().Extend(0, MakeEvent(1, 10));
+    original = original.Extend(1, MakeEvent(2, 20));
+    copy = original;
+    MatchBuffer moved = std::move(original);
+    EXPECT_TRUE(original.empty());  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(moved.size(), 2);
+  }
+  ASSERT_EQ(copy.size(), 2);
+  EXPECT_EQ(copy.min_timestamp(), 10);
+  EXPECT_EQ(copy.ToBindings()[1].event.id(), 2);
+}
+
+TEST(MatchBuffer, DestroyingAVeryLongBufferDoesNotOverflowTheStack) {
+  // A group variable can bind millions of events. Releasing the chain one
+  // stack frame per node overflowed an 8 MiB stack well below this length;
+  // release must walk the parent chain iteratively.
+  constexpr int kLength = 2'000'000;
+  Event event = MakeEvent(1, 1);
+  {
+    MatchBuffer buffer;
+    for (int i = 0; i < kLength; ++i) {
+      event.set_timestamp(i + 1);
+      buffer = buffer.Extend(0, event);
+    }
+    EXPECT_EQ(buffer.size(), kLength);
+    EXPECT_EQ(buffer.min_timestamp(), 1);
+  }
+}
+
 TEST(Match, AccessorsAndKey) {
   Event e1(1, 100, {Value(int64_t{1}), Value("A"), Value(0.0),
                     Value(std::string("u"))});
