@@ -13,10 +13,12 @@
 // repetition starts a fresh server: the engine's Flush is terminal, and a
 // cold server per rep keeps repetitions independent.
 //
-// Caveat for absolute numbers: clients, server readers, and ingest
-// workers all share the machine; on a single-core CI runner the sweep
-// measures protocol + scheduling overhead, not parallel speedup (see
-// EXPERIMENTS.md, "Server connection scale").
+// The server runs one reader thread per connection and one evaluator
+// thread that owns the engine, so N clients cost N + 2 server threads
+// plus the N client threads of this process, all on the same machine.
+// Clients that wait for the flush barrier block (std::atomic::wait)
+// instead of spinning, so idle clients do not compete with the server
+// for cores (see EXPERIMENTS.md, "Server connection scale").
 
 #include <atomic>
 #include <cstdio>
@@ -111,14 +113,17 @@ int64_t RunLoad(int clients, int64_t events_per_client, int64_t batch) {
         Result<bool> ok = (*client)->Push(slab);
         SES_CHECK(ok.ok() && *ok) << ok.status().ToString();
       }
-      ++pushed;
+      if (pushed.fetch_add(1) + 1 == clients) pushed.notify_one();
       // Coordinated flush: one global barrier, the rest drain after it.
       if (c == 0) {
-        while (pushed.load() < clients) std::this_thread::yield();
+        for (int seen = pushed.load(); seen < clients; seen = pushed.load()) {
+          pushed.wait(seen);
+        }
         SES_CHECK((*client)->Flush().ok());
         flushed.store(true);
+        flushed.notify_all();
       } else {
-        while (!flushed.load()) std::this_thread::yield();
+        flushed.wait(false);
         SES_CHECK((*client)->Flush().ok());
       }
       matches.fetch_add(local);

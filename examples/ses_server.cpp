@@ -53,7 +53,7 @@ void PrintUsage(const char* argv0) {
       "  --engine NAME        per-plan engine (default serial; see\n"
       "                       ses_cli --list-engines)\n"
       "  --threads N          shorthand for --engine parallel with N shards\n"
-      "  --queue-capacity N   per-connection ingest queue slots before\n"
+      "  --queue-capacity N   slabs one connection may have queued before\n"
       "                       PushEvents answers Busy (default 64)\n"
       "  --idle-timeout-ms N  close connections idle this long (default\n"
       "                       60000; 0 disables)\n"

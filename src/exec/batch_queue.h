@@ -43,17 +43,14 @@ struct EventBatch {
 /// lets the producer read consumer-owned state after a barrier item has
 /// been acknowledged.
 ///
-/// Two consumers sit on this primitive: the parallel runtime's shard
-/// workers (one BatchQueue of EventBatches per shard) and the network
-/// server's per-connection ingest queues (net/server.h), which use
-/// TryPush to turn "queue full" into an explicit Busy response instead of
-/// blocking the connection's reader thread.
+/// The parallel runtime's shard workers are its consumers: one BatchQueue
+/// of EventBatches per shard.
 ///
 /// Close() is the shutdown signal: it wakes every thread blocked in
 /// Push/PushAll/Pop so neither side can deadlock when the other exits
-/// early. After Close, producers see `false` from Push/PushAll/TryPush
-/// (the items are discarded) and consumers drain the remaining queue, then
-/// see std::nullopt from Pop.
+/// early. After Close, producers see `false` from Push/PushAll (the items
+/// are discarded) and consumers drain the remaining queue, then see
+/// std::nullopt from Pop.
 template <typename T>
 class BoundedQueue {
  public:
@@ -69,20 +66,6 @@ class BoundedQueue {
     not_full_.wait(lock,
                    [this] { return closed_ || queue_.size() < capacity_; });
     if (closed_) return false;
-    queue_.push_back(std::move(item));
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Non-blocking admission: enqueues and returns true when there is room,
-  /// returns false — without waiting — when the queue is at capacity or
-  /// closed (the item is dropped either way; check closed() to tell the
-  /// cases apart). This is the backpressure probe of the network server:
-  /// a full queue becomes a Busy response to the client instead of a
-  /// blocked reader thread.
-  bool TryPush(T item) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (closed_ || queue_.size() >= capacity_) return false;
     queue_.push_back(std::move(item));
     not_empty_.notify_one();
     return true;

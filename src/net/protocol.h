@@ -77,7 +77,7 @@ enum class PacketType : uint8_t {
   kMatchBatch = 18,  // matches for one plan (may arrive at any time)
   kStats = 19,       // statistics snapshot (answer to kStatsRequest)
   kError = 20,       // request failed: wire status code + message
-  kBusy = 21,        // PushEvents rejected: ingest queue at capacity
+  kBusy = 21,        // PushEvents rejected: connection's queue share full
 };
 
 /// True for the packet types this build knows; the frame decoder rejects
@@ -218,9 +218,10 @@ struct ErrorResponse {
   Status ToStatus() const { return Status(code, message); }
 };
 
-/// Busy: the PushEvents was rejected because the connection's bounded
-/// ingest queue (exec::BoundedQueue) is at capacity. The slab was dropped;
-/// re-send it after draining — nothing was partially applied.
+/// Busy: the PushEvents was rejected because the connection already has
+/// its full share (ServerOptions::queue_capacity) of slabs waiting in the
+/// server's FIFO. The slab was dropped; re-send it after draining — nothing
+/// was partially applied.
 struct BusyResponse {
   uint64_t queue_depth = 0;
   uint64_t queue_capacity = 0;

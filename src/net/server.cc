@@ -1,5 +1,6 @@
 #include "net/server.h"
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <span>
@@ -38,6 +39,7 @@ Result<std::unique_ptr<Server>> Server::Start(ServerOptions options) {
     return Status::InvalidArgument("unknown engine: " + options.engine);
   }
   if (!options.clock_ms) options.clock_ms = SteadyNowMs;
+  options.queue_capacity = std::max<size_t>(options.queue_capacity, 1);
 
   std::unique_ptr<Server> server(new Server(std::move(options)));
   server->catalog_ = std::make_shared<catalog::QueryCatalog>();
@@ -48,13 +50,15 @@ Result<std::unique_ptr<Server>> Server::Start(ServerOptions options) {
   catalog_options.shared_type_index = server->options_.shared_type_index;
   catalog_options.shared_prefilter = server->options_.shared_prefilter;
   catalog_options.type_attribute = server->options_.type_attribute;
-  // The demux sink runs inside engine calls, which all hold engine_mu_ —
-  // that lock is what makes the plan_owner_/pending access safe here.
+  // The sink runs inside engine calls, which only the evaluator makes.
   Server* raw = server.get();
   catalog_options.sink = [raw](std::string_view plan_id, Match&& match) {
-    auto it = raw->plan_owner_.find(std::string(plan_id));
-    if (it == raw->plan_owner_.end()) return;  // owner already disconnected
-    it->second->pending[std::string(plan_id)].push_back(std::move(match));
+    auto it = raw->pending_.find(plan_id);
+    if (it == raw->pending_.end()) {
+      it = raw->pending_.emplace(std::string(plan_id), std::vector<Match>())
+               .first;
+    }
+    it->second.push_back(std::move(match));
   };
   SES_ASSIGN_OR_RETURN(server->engine_,
                        catalog::CatalogEngine::Create(
@@ -62,6 +66,7 @@ Result<std::unique_ptr<Server>> Server::Start(ServerOptions options) {
 
   SES_ASSIGN_OR_RETURN(server->listener_,
                        ListenTcp(server->options_.port, &server->port_));
+  server->evaluator_ = std::thread(&Server::EvaluatorLoop, raw);
   server->accept_thread_ = std::thread(&Server::AcceptLoop, raw);
   return server;
 }
@@ -78,12 +83,19 @@ void Server::Stop() {
     std::lock_guard<std::mutex> lock(conns_mu_);
     conns.swap(conns_);
   }
-  // Wake every reader blocked in poll/recv; readers tear down their own
-  // worker, plans, and queue on the way out.
+  // Wake every reader blocked in poll/recv; each queues its connection's
+  // teardown on the way out. Once no reader is left to queue more, the
+  // evaluator drains the FIFO and exits.
   for (const auto& conn : conns) conn->sock.ShutdownBoth();
   for (const auto& conn : conns) {
     if (conn->reader.joinable()) conn->reader.join();
   }
+  {
+    std::lock_guard<std::mutex> lock(fifo_mu_);
+    fifo_closed_ = true;
+  }
+  fifo_cv_.notify_one();
+  if (evaluator_.joinable()) evaluator_.join();
   listener_.Reset();
 }
 
@@ -105,7 +117,7 @@ void Server::AcceptLoop() {
     if (*readable && !stop_.load()) {
       Result<Socket> sock = Accept(listener_);
       if (sock.ok()) {
-        auto conn = std::make_shared<Connection>(options_.queue_capacity);
+        auto conn = std::make_shared<Connection>();
         conn->sock = std::move(*sock);
         conn->last_activity_ms = NowMs();
         SetRecvTimeout(conn->sock.fd(), options_.read_timeout_ms).ok();
@@ -159,18 +171,13 @@ Result<Frame> Server::ReadFrameIdle(Connection* conn) {
 }
 
 void Server::ReaderLoop(std::shared_ptr<Connection> conn) {
-  if (Handshake(conn.get())) {
-    conn->worker = std::thread(&Server::WorkerLoop, this, conn);
-    ServeLoop(conn);
-  }
-  // Teardown, in dependency order: stop feeding the worker, wait for it to
-  // finish every admitted slab, then release this connection's plans and
-  // signal the peer.
-  conn->queue.Close();
-  if (conn->worker.joinable()) conn->worker.join();
-  CleanupPlans(conn.get());
-  conn->sock.ShutdownBoth();
-  conn->done.store(true);
+  if (Handshake(conn.get())) ServeLoop(conn);
+  // Teardown goes through the FIFO, so the connection's plans are released
+  // only after every slab it admitted has been evaluated.
+  Item item;
+  item.kind = Item::Kind::kClose;
+  item.conn = std::move(conn);
+  Enqueue(std::move(item));
 }
 
 bool Server::Handshake(Connection* conn) {
@@ -231,22 +238,19 @@ void Server::ServeLoop(const std::shared_ptr<Connection>& conn) {
       case PacketType::kPushEvents:
         HandlePushEvents(conn, *frame);
         break;
-      case PacketType::kFlush: {
-        IngestItem item;
-        item.kind = IngestItem::Kind::kFlush;
-        // Blocking admission: the barrier must order after every admitted
-        // slab; the worker sends the Ack once the engine flushed. From
-        // here on this connection's pushes are rejected at admission —
-        // they could never drain past the queued flush.
-        conn->flush_queued.store(true);
-        if (!conn->queue.Push(std::move(item))) return;
+      case PacketType::kFlush:
+        QueueAndWait(conn, Item::Kind::kFlush);
         break;
-      }
       case PacketType::kCheckpoint:
-        HandleCheckpoint(conn.get());
+        if (options_.checkpoint_dir.empty()) {
+          SendError(conn.get(), Status::FailedPrecondition(
+                                    "server started without --checkpoint-dir"));
+        } else {
+          QueueAndWait(conn, Item::Kind::kCheckpoint);
+        }
         break;
       case PacketType::kStatsRequest:
-        HandleStats(conn.get());
+        QueueAndWait(conn, Item::Kind::kStats);
         break;
       case PacketType::kHello:
         SendError(conn.get(), Status::FailedPrecondition(
@@ -290,7 +294,7 @@ void Server::HandleSubmitPlan(const std::shared_ptr<Connection>& conn,
   }
   Status added;
   {
-    std::lock_guard<std::mutex> lock(engine_mu_);
+    std::lock_guard<std::mutex> lock(owners_mu_);
     added = catalog_->Add(req->plan_id, std::move(*plan));
     if (added.ok()) {
       plan_owner_[req->plan_id] = conn;
@@ -313,7 +317,7 @@ void Server::HandleRemovePlan(const std::shared_ptr<Connection>& conn,
   }
   Status removed;
   {
-    std::lock_guard<std::mutex> lock(engine_mu_);
+    std::lock_guard<std::mutex> lock(owners_mu_);
     auto it = plan_owner_.find(req->plan_id);
     if (it == plan_owner_.end()) {
       removed = Status::NotFound("no plan '" + req->plan_id + "'");
@@ -325,7 +329,6 @@ void Server::HandleRemovePlan(const std::shared_ptr<Connection>& conn,
       if (removed.ok()) {
         plan_owner_.erase(it);
         std::erase(conn->plan_ids, req->plan_id);
-        conn->pending.erase(req->plan_id);
       }
     }
   }
@@ -338,190 +341,169 @@ void Server::HandleRemovePlan(const std::shared_ptr<Connection>& conn,
 
 void Server::HandlePushEvents(const std::shared_ptr<Connection>& conn,
                               const Frame& frame) {
-  {
-    std::lock_guard<std::mutex> lock(conn->status_mu);
-    if (!conn->stream_status.ok()) {
-      SendError(conn.get(), conn->stream_status);
-      return;
-    }
-  }
-  if (flushed_.load() || conn->flush_queued.load()) {
-    SendError(conn.get(),
-              Status::FailedPrecondition(
-                  "stream already flushed; no further events accepted"));
-    return;
-  }
   Result<PushEventsRequest> req =
       PushEventsRequest::Decode(frame.payload, options_.schema);
   if (!req.ok()) {
     SendError(conn.get(), req.status());
     return;
   }
-  // Admission is atomic with the flush-barrier state: a barrier already
-  // draining answers Busy (retry later), a completed flush answers the
-  // flushed error — a slab can never be admitted into the window between
-  // the drain and the engine Flush.
-  switch (TryAdmitPush()) {
-    case Admission::kFlushed:
-      SendError(conn.get(),
-                Status::FailedPrecondition(
-                    "stream already flushed; no further events accepted"));
-      return;
-    case Admission::kDraining:
-      SendBusy(conn.get());
-      return;
-    case Admission::kAdmitted:
-      break;
-  }
-  IngestItem item;
-  item.kind = IngestItem::Kind::kPush;
-  item.push = std::move(*req);
-  if (!conn->queue.TryPush(std::move(item))) {
-    SubInflight();
-    SendBusy(conn.get());
-    return;
-  }
-  // Admission ack: evaluation happens on the worker; an evaluation error
-  // surfaces as the Error reply to the next request on this connection.
-  SendAck(conn.get(), PacketType::kPushEvents, "queued");
-}
-
-void Server::HandleCheckpoint(Connection* conn) {
-  if (options_.checkpoint_dir.empty()) {
-    SendError(conn, Status::FailedPrecondition(
-                        "server started without --checkpoint-dir"));
-    return;
-  }
-  storage::CheckpointWriter writer;
-  Status status;
+  // Admission shares the FIFO's mutex with the flush flag, so a slab is
+  // either ahead of a queued Flush or refused.
+  Status refused;
+  size_t busy_depth = 0;
   {
-    std::lock_guard<std::mutex> lock(engine_mu_);
-    status = engine_->Checkpoint(&writer);
-  }
-  if (!status.ok()) {
-    SendError(conn, status);
-    return;
-  }
-  const int64_t seq = checkpoint_seq_.fetch_add(1) + 1;
-  const std::string path = options_.checkpoint_dir + "/SES_CKPT_" +
-                           std::to_string(seq) + ".sesckpt";
-  status = storage::WriteCheckpointFile(path, std::move(writer).Finish());
-  if (!status.ok()) {
-    SendError(conn, status);
-    return;
-  }
-  SendAck(conn, PacketType::kCheckpoint, path);
-}
-
-void Server::HandleStats(Connection* conn) {
-  StatsResponse stats;
-  {
-    std::lock_guard<std::mutex> lock(engine_mu_);
-    stats.catalog = engine_->stats();
-    stats.plans = engine_->plan_stats();
-  }
-  SendFrame(conn, PacketType::kStats, stats.Encode()).ok();
-}
-
-void Server::WorkerLoop(std::shared_ptr<Connection> conn) {
-  while (std::optional<IngestItem> item = conn->queue.Pop()) {
-    if (options_.eval_gate) options_.eval_gate();
-    if (item->kind == IngestItem::Kind::kPush) {
-      Status status;
-      std::vector<Delivery> out;
-      {
-        std::lock_guard<std::mutex> lock(engine_mu_);
-        status =
-            item->push.layout == PushEventsRequest::Layout::kColumnar
-                ? engine_->PushColumnar(item->push.columnar)
-                : engine_->PushBatch(std::span<const Event>(item->push.events));
-        out = TakePendingLocked();
-      }
-      Deliver(std::move(out));
-      if (!status.ok()) {
-        std::lock_guard<std::mutex> lock(conn->status_mu);
-        if (conn->stream_status.ok()) conn->stream_status = status;
-      }
-      SubInflight();
+    std::lock_guard<std::mutex> lock(fifo_mu_);
+    if (!conn->stream_status.ok()) {
+      refused = conn->stream_status;
+    } else if (flush_queued_) {
+      refused = Status::FailedPrecondition(
+          "stream already flushed; no further events accepted");
+    } else if (conn->queued_slabs >= options_.queue_capacity) {
+      busy_depth = conn->queued_slabs;
     } else {
-      // The engine Flush is global: it ends the stream for every plan of
-      // every connection. Raise the barrier first — new pushes answer Busy
-      // server-wide — then wait for all admitted slabs, so a concurrent
-      // client's queued-but-unevaluated events are evaluated rather than
-      // invalidated, and sustained pushes cannot starve the drain. (This
-      // connection's own slabs are already done — they precede the flush
-      // in its FIFO queue.)
-      BeginFlushBarrier();
-      Status status;
-      std::vector<Delivery> out;
-      {
-        std::lock_guard<std::mutex> lock(engine_mu_);
-        status = engine_->Flush();
-        if (status.ok()) flushed_.store(true);
-        out = TakePendingLocked();
-      }
-      EndFlushBarrier();
-      // A slab of this connection that failed evaluation must fail the
-      // barrier too — otherwise the engine's idempotent-OK re-flush would
-      // silently mask a stream with missing matches.
-      if (status.ok()) {
-        std::lock_guard<std::mutex> lock(conn->status_mu);
-        status = conn->stream_status;
-      }
-      // Matches first, then the barrier Ack: once a client sees the Flush
-      // Ack, every match of the stream has been written to its socket.
-      Deliver(std::move(out));
-      if (status.ok()) {
-        SendAck(conn.get(), PacketType::kFlush, "");
-      } else {
-        SendError(conn.get(), status);
-      }
+      ++conn->queued_slabs;
+      Item item;
+      item.conn = conn;
+      item.push = std::move(*req);
+      fifo_.push_back(std::move(item));
     }
   }
-}
-
-Server::Admission Server::TryAdmitPush() {
-  std::lock_guard<std::mutex> lock(inflight_mu_);
-  if (flushed_.load()) return Admission::kFlushed;
-  if (flush_waiters_ > 0) return Admission::kDraining;
-  ++inflight_pushes_;
-  return Admission::kAdmitted;
-}
-
-void Server::SubInflight() {
-  std::lock_guard<std::mutex> lock(inflight_mu_);
-  if (--inflight_pushes_ == 0) inflight_cv_.notify_all();
-}
-
-void Server::BeginFlushBarrier() {
-  std::unique_lock<std::mutex> lock(inflight_mu_);
-  // From here on TryAdmitPush answers kDraining, so the in-flight count
-  // drains monotonically to zero. Every admitted slab is evaluated even
-  // during teardown (BoundedQueue consumers drain after Close), so the
-  // count always reaches zero; the timed wait is a belt-and-braces guard
-  // against a missed wakeup.
-  ++flush_waiters_;
-  while (inflight_pushes_ != 0) {
-    inflight_cv_.wait_for(lock, std::chrono::milliseconds(100));
+  if (!refused.ok()) {
+    SendError(conn.get(), refused);
+  } else if (busy_depth > 0) {
+    SendBusy(conn.get(), busy_depth);
+  } else {
+    fifo_cv_.notify_one();
+    // Admission ack: an evaluation error surfaces as the Error reply to
+    // the connection's next PushEvents or Flush.
+    SendAck(conn.get(), PacketType::kPushEvents, "queued");
   }
 }
 
-void Server::EndFlushBarrier() {
-  // flushed_ was stored (on success) before this runs, so a push admitted
-  // after the barrier drops sees kFlushed, never the engine's post-flush
-  // state.
-  std::lock_guard<std::mutex> lock(inflight_mu_);
-  --flush_waiters_;
+void Server::Enqueue(Item item) {
+  {
+    std::lock_guard<std::mutex> lock(fifo_mu_);
+    if (item.kind == Item::Kind::kFlush) flush_queued_ = true;
+    fifo_.push_back(std::move(item));
+  }
+  fifo_cv_.notify_one();
 }
 
-void Server::CleanupPlans(Connection* conn) {
-  std::lock_guard<std::mutex> lock(engine_mu_);
-  for (const std::string& id : conn->plan_ids) {
-    catalog_->Remove(id).ok();  // the engine drops it at its next refresh
-    plan_owner_.erase(id);
+void Server::QueueAndWait(const std::shared_ptr<Connection>& conn,
+                          Item::Kind kind) {
+  Item item;
+  item.kind = kind;
+  item.conn = conn;
+  Enqueue(std::move(item));
+  // The evaluator answers every queued item, also while stopping, so this
+  // wait ends; it keeps each connection to one such item in the FIFO.
+  conn->answered.acquire();
+}
+
+void Server::EvaluatorLoop() {
+  for (;;) {
+    Item item;
+    {
+      std::unique_lock<std::mutex> lock(fifo_mu_);
+      fifo_cv_.wait(lock, [this] { return fifo_closed_ || !fifo_.empty(); });
+      if (fifo_.empty()) return;
+      item = std::move(fifo_.front());
+      fifo_.pop_front();
+      if (item.kind == Item::Kind::kPush) --item.conn->queued_slabs;
+    }
+    Evaluate(item);
   }
-  conn->plan_ids.clear();
-  conn->pending.clear();
+}
+
+void Server::Evaluate(const Item& item) {
+  Connection* conn = item.conn.get();
+  Status status;
+  switch (item.kind) {
+    case Item::Kind::kPush:
+      if (options_.eval_gate) options_.eval_gate();
+      status = item.push.layout == PushEventsRequest::Layout::kColumnar
+                   ? engine_->PushColumnar(item.push.columnar)
+                   : engine_->PushBatch(item.push.events);
+      DeliverPending();
+      if (!status.ok()) {
+        std::lock_guard<std::mutex> lock(fifo_mu_);
+        if (conn->stream_status.ok()) conn->stream_status = status;
+      }
+      return;
+    case Item::Kind::kFlush:
+      if (options_.eval_gate) options_.eval_gate();
+      // The engine Flush is global: it ends the stream for every plan of
+      // every connection. Every slab admitted before it is already
+      // evaluated, since admission closed when the Flush was queued.
+      status = engine_->Flush();
+      // Matches first, then the Ack: once a client sees the Flush Ack,
+      // every match of the stream has been written to its socket.
+      DeliverPending();
+      // A slab of this connection that failed evaluation fails the Flush
+      // too; otherwise the engine's idempotent-OK re-flush would mask a
+      // stream with missing matches.
+      if (status.ok()) {
+        std::lock_guard<std::mutex> lock(fifo_mu_);
+        status = conn->stream_status;
+      }
+      if (status.ok()) SendAck(conn, PacketType::kFlush, "");
+      break;
+    case Item::Kind::kStats: {
+      StatsResponse stats;
+      stats.catalog = engine_->stats();
+      stats.plans = engine_->plan_stats();
+      SendFrame(conn, PacketType::kStats, stats.Encode()).ok();
+      break;
+    }
+    case Item::Kind::kCheckpoint: {
+      storage::CheckpointWriter writer;
+      status = engine_->Checkpoint(&writer);
+      if (status.ok()) {
+        const std::string path = options_.checkpoint_dir + "/SES_CKPT_" +
+                                 std::to_string(++checkpoint_seq_) +
+                                 ".sesckpt";
+        status =
+            storage::WriteCheckpointFile(path, std::move(writer).Finish());
+        if (status.ok()) SendAck(conn, PacketType::kCheckpoint, path);
+      }
+      break;
+    }
+    case Item::Kind::kClose: {
+      std::lock_guard<std::mutex> lock(owners_mu_);
+      for (const std::string& id : conn->plan_ids) {
+        catalog_->Remove(id).ok();  // the engine drops it at its next refresh
+        plan_owner_.erase(id);
+      }
+      conn->plan_ids.clear();
+      conn->sock.ShutdownBoth();
+      conn->done.store(true);
+      return;
+    }
+  }
+  if (!status.ok()) SendError(conn, status);
+  conn->answered.release();
+}
+
+void Server::DeliverPending() {
+  for (auto& [plan_id, matches] : pending_) {
+    std::shared_ptr<Connection> owner;
+    {
+      std::lock_guard<std::mutex> lock(owners_mu_);
+      auto it = plan_owner_.find(plan_id);
+      if (it != plan_owner_.end()) owner = it->second;
+    }
+    if (owner == nullptr) continue;  // plan removed or owner gone
+    const std::string payload = MatchBatchResponse::Encode(
+        plan_id, std::span<const Match>(matches), options_.schema);
+    // A peer that stops draining its matches would hold the evaluator, and
+    // so every connection, for write_timeout_ms per frame. A timed-out
+    // write may also have left a partial frame, so the stream cannot be
+    // resynchronized: shut it down, and its reader tears it down.
+    if (!SendFrame(owner.get(), PacketType::kMatchBatch, payload).ok()) {
+      owner->sock.ShutdownBoth();
+    }
+  }
+  pending_.clear();
 }
 
 Status Server::SendFrame(Connection* conn, PacketType type,
@@ -545,37 +527,11 @@ void Server::SendError(Connection* conn, const Status& status) {
   SendFrame(conn, PacketType::kError, error.Encode()).ok();
 }
 
-void Server::SendBusy(Connection* conn) {
+void Server::SendBusy(Connection* conn, size_t queued_slabs) {
   BusyResponse busy;
-  busy.queue_depth = conn->queue.depth();
-  busy.queue_capacity = conn->queue.capacity();
+  busy.queue_depth = queued_slabs;
+  busy.queue_capacity = options_.queue_capacity;
   SendFrame(conn, PacketType::kBusy, busy.Encode()).ok();
-}
-
-std::vector<Server::Delivery> Server::TakePendingLocked() {
-  std::vector<Delivery> out;
-  for (auto& [id, conn] : plan_owner_) {
-    auto it = conn->pending.find(id);
-    if (it == conn->pending.end() || it->second.empty()) continue;
-    Delivery delivery;
-    delivery.conn = conn;
-    delivery.plan_id = id;
-    delivery.matches = std::move(it->second);
-    it->second.clear();
-    out.push_back(std::move(delivery));
-  }
-  return out;
-}
-
-void Server::Deliver(std::vector<Delivery> deliveries) {
-  for (Delivery& delivery : deliveries) {
-    const std::string payload = MatchBatchResponse::Encode(
-        delivery.plan_id, std::span<const Match>(delivery.matches),
-        options_.schema);
-    std::lock_guard<std::mutex> lock(delivery.conn->write_mu);
-    WriteFrame(delivery.conn->sock.fd(), PacketType::kMatchBatch, payload)
-        .ok();
-  }
 }
 
 }  // namespace ses::net

@@ -4,10 +4,12 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <semaphore>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -18,7 +20,6 @@
 #include "common/result.h"
 #include "engine/engine.h"
 #include "event/schema.h"
-#include "exec/batch_queue.h"
 #include "net/protocol.h"
 #include "net/socket.h"
 
@@ -41,9 +42,9 @@ struct ServerOptions {
   bool shared_type_index = true;
   bool shared_prefilter = true;
   std::string type_attribute;
-  /// Per-connection ingest queue capacity, in PushEvents slabs. A full
-  /// queue turns the next PushEvents into a Busy response (backpressure)
-  /// instead of unbounded buffering.
+  /// How many PushEvents slabs one connection may have waiting in the
+  /// server's FIFO. One more turns the next PushEvents into a Busy
+  /// response (backpressure) instead of unbounded buffering.
   size_t queue_capacity = 64;
   /// Close a connection that has sent nothing for this long (0 disables).
   /// Measured on `clock_ms`, so tests can drive it with a fake clock.
@@ -59,9 +60,10 @@ struct ServerOptions {
   /// clock. Tests inject a fake clock to expire idle connections
   /// deterministically (real sockets stay untouched).
   std::function<int64_t()> clock_ms;
-  /// Test hook: when set, the ingest worker calls it before evaluating
-  /// each queued item. Lets tests hold a worker mid-drain to fill the
-  /// bounded queue and observe Busy deterministically.
+  /// Test hook: when set, the evaluator calls it before evaluating each
+  /// PushEvents slab and each Flush (and before nothing else). Lets tests
+  /// hold the evaluator mid-drain to fill a connection's share of the FIFO
+  /// and observe Busy and ordering deterministically.
   std::function<void()> eval_gate;
 };
 
@@ -70,26 +72,31 @@ struct ServerOptions {
 /// catalog runtime (docs/SERVER.md is the ops guide, net/protocol.h the
 /// wire contract).
 ///
-/// One shared catalog::CatalogEngine serves every connection, so plans
-/// from different clients share the type index and pre-filter work exactly
-/// as an in-process catalog run would. Per connection the server runs two
-/// threads: a reader that speaks the protocol (handshake first, then
-/// request dispatch) and answers control requests synchronously, and an
-/// ingest worker that drains that connection's bounded queue
-/// (exec::BoundedQueue) into the engine — so a slow evaluation never stops
-/// the reader from answering, and a full queue becomes an explicit Busy
-/// response. Matches are routed back to the connection that submitted the
-/// matching plan, as MatchBatch frames.
+/// One catalog::CatalogEngine serves every connection as one stream, so
+/// plans from different clients share the type index and pre-filter work
+/// exactly as an in-process catalog run would. Threads: one reader per
+/// connection speaks the protocol (handshake, then request dispatch), and
+/// one evaluator thread owns the engine and drains one server-wide FIFO
+/// in arrival order. A reader decodes PushEvents, admits the slab into the
+/// FIFO (or answers Busy when its connection's share is full) and Acks the
+/// admission; Flush, StatsRequest and Checkpoint are queued too, answered
+/// by the evaluator, and the reader waits for that answer before reading
+/// on. So "Flush runs after every admitted slab" and "Stats and Checkpoint
+/// cover every Ack'd slab" hold by FIFO order. The evaluator writes the
+/// matches of each engine call as MatchBatch frames to the connection that
+/// submitted the matching plan; a MatchBatch write that fails (the peer
+/// stopped draining for write_timeout_ms) shuts that connection down, so
+/// one slow peer cannot stall evaluation for the others.
 ///
 /// Plan ids are global across the server (AlreadyExists on a duplicate);
-/// a connection owns the plans it submitted, and they are removed — with
-/// any undelivered matches — when it disconnects, times out idle, or
-/// sends a malformed frame (a corrupt stream cannot be resynchronized, so
-/// the server answers with a typed Error and closes).
+/// a connection owns the plans it submitted, and they are removed — once
+/// its admitted slabs are evaluated — when it disconnects, times out idle,
+/// or sends a malformed frame (a corrupt stream cannot be resynchronized,
+/// so the server answers with a typed Error and closes).
 class Server {
  public:
   /// Validates the options (schema non-empty, engine registered), binds
-  /// the listening socket, and starts the accept loop.
+  /// the listening socket, and starts the accept loop and the evaluator.
   static Result<std::unique_ptr<Server>> Start(ServerOptions options);
 
   ~Server();
@@ -111,45 +118,26 @@ class Server {
   size_t num_plans() const;
 
  private:
-  /// One queued unit of ingest work: a decoded PushEvents slab, or the
-  /// Flush barrier (which the worker acknowledges itself, so the Ack
-  /// orders after every admitted slab's evaluation).
-  struct IngestItem {
-    enum class Kind { kPush, kFlush };
-    Kind kind = Kind::kPush;
-    PushEventsRequest push;
-  };
-
-  /// Per-connection state. Thread roles: `reader` owns the socket's read
-  /// side and all synchronous replies; `worker` drains `queue`. Both write
-  /// frames under `write_mu` (as do other connections' workers delivering
-  /// matches). `plan_ids` and `pending` are guarded by the server's
-  /// engine_mu_; `stream_status` by `status_mu`.
+  /// Per-connection state. `reader` owns the socket's read side; replies
+  /// are written under `write_mu` by the reader and by the evaluator.
   struct Connection {
-    explicit Connection(size_t queue_capacity) : queue(queue_capacity) {}
-
     Socket sock;
     std::mutex write_mu;
-    exec::BoundedQueue<IngestItem> queue;
     std::thread reader;
-    std::thread worker;
-    /// Reader finished (including worker join); the accept loop reaps it.
+    /// Set by the evaluator once the connection's teardown item ran; the
+    /// accept loop then reaps it.
     std::atomic<bool> done{false};
-    /// A Flush is queued behind this connection's admitted slabs. Further
-    /// PushEvents are rejected at admission: the flush worker waits for
-    /// every connection's in-flight slabs, and a push queued behind its
-    /// own connection's flush could never drain.
-    std::atomic<bool> flush_queued{false};
-    /// Plans this connection submitted (engine_mu_).
-    std::vector<std::string> plan_ids;
-    /// Matches produced but not yet written to the socket, per plan
-    /// (engine_mu_; filled by the catalog sink during engine calls).
-    std::map<std::string, std::vector<Match>> pending;
-    std::mutex status_mu;
-    /// First asynchronous evaluation error; surfaced as the Error reply to
-    /// the connection's next request (admission Acks mean push errors are
-    /// detected after the Ack).
+    /// Released by the evaluator after it answered this connection's
+    /// Flush, StatsRequest or Checkpoint; the reader waits on it.
+    std::binary_semaphore answered{0};
+    /// Admitted slabs not yet popped by the evaluator (fifo_mu_).
+    size_t queued_slabs = 0;
+    /// First evaluation error of an admitted slab (fifo_mu_); surfaced as
+    /// the Error reply to the connection's next PushEvents or Flush
+    /// (admission Acks mean push errors are detected after the Ack).
     Status stream_status;
+    /// Plans this connection submitted (owners_mu_).
+    std::vector<std::string> plan_ids;
     /// Client-announced name, for log lines.
     std::string name;
     /// When the last frame arrived (options_.clock_ms), set at accept and
@@ -161,12 +149,14 @@ class Server {
     int64_t last_activity_ms = 0;
   };
 
-  /// An extracted pending-match buffer, handed from under engine_mu_ to
-  /// the socket writes outside it.
-  struct Delivery {
+  /// One unit of evaluator work, in arrival order across connections.
+  /// kClose is the connection's teardown: its plans are released only
+  /// after every slab it had admitted ahead of it.
+  struct Item {
+    enum class Kind { kPush, kFlush, kStats, kCheckpoint, kClose };
+    Kind kind = Kind::kPush;
     std::shared_ptr<Connection> conn;
-    std::string plan_id;
-    std::vector<Match> matches;
+    PushEventsRequest push;
   };
 
   explicit Server(ServerOptions options);
@@ -177,7 +167,7 @@ class Server {
   void ReapFinished();
 
   void ReaderLoop(std::shared_ptr<Connection> conn);
-  void WorkerLoop(std::shared_ptr<Connection> conn);
+  void EvaluatorLoop();
 
   /// Reads the next frame, polling in short slices so stop and the idle
   /// deadline are observed; FailedPrecondition signals idle expiry.
@@ -194,64 +184,54 @@ class Server {
                         const Frame& frame);
   void HandlePushEvents(const std::shared_ptr<Connection>& conn,
                         const Frame& frame);
-  void HandleCheckpoint(Connection* conn);
-  void HandleStats(Connection* conn);
 
-  /// Removes every plan the connection owns and drops its pending matches.
-  void CleanupPlans(Connection* conn);
+  /// Queues `kind` and blocks until the evaluator has answered it.
+  void QueueAndWait(const std::shared_ptr<Connection>& conn, Item::Kind kind);
+  void Enqueue(Item item);
+
+  /// Runs one item on the evaluator; answers Flush, StatsRequest and
+  /// Checkpoint and then releases the waiting reader.
+  void Evaluate(const Item& item);
+
+  /// Writes pending_ as MatchBatch frames to each plan's owner, then
+  /// clears it. A failed write shuts the owner's socket down.
+  void DeliverPending();
 
   Status SendFrame(Connection* conn, PacketType type,
                    std::string_view payload);
   void SendAck(Connection* conn, PacketType request, std::string_view info);
   void SendError(Connection* conn, const Status& status);
-  void SendBusy(Connection* conn);
-
-  /// In-flight slab accounting and the Flush barrier. Every admitted
-  /// PushEvents slab increments the count; its evaluation decrements it.
-  /// A Flush barrier first raises flush_waiters_, which makes TryAdmitPush
-  /// answer kDraining (a server-wide Busy) — so the count drains
-  /// monotonically to zero instead of the barrier chasing a momentary zero
-  /// under sustained pushes, and no slab can be admitted into the window
-  /// between the drain and the engine Flush.
-  enum class Admission { kAdmitted, kDraining, kFlushed };
-  /// Atomically checks the flush state and, when open, counts the slab
-  /// in-flight. The one admission point for PushEvents.
-  Admission TryAdmitPush();
-  void SubInflight();
-  /// Closes admission (kDraining), then waits for every admitted slab to
-  /// evaluate. Paired with EndFlushBarrier after the engine Flush ran.
-  void BeginFlushBarrier();
-  void EndFlushBarrier();
-
-  /// Moves every connection's pending buffers out. Caller holds engine_mu_.
-  std::vector<Delivery> TakePendingLocked();
-  /// Writes the extracted buffers as MatchBatch frames (no engine lock
-  /// held; write errors are the owning reader's problem to notice).
-  void Deliver(std::vector<Delivery> deliveries);
+  void SendBusy(Connection* conn, size_t queued_slabs);
 
   ServerOptions options_;
   Socket listener_;
   uint16_t port_ = 0;
 
-  /// Engine state: every CatalogEngine call (and the plan-ownership maps
-  /// the sink updates during those calls) happens under engine_mu_.
-  mutable std::mutex engine_mu_;
+  /// Thread-safe; readers add and remove plans, the engine picks the
+  /// change up at its next call.
   std::shared_ptr<catalog::QueryCatalog> catalog_;
+  /// Evaluator-only: the engine and the matches its sink collected during
+  /// the current call, per plan id.
   std::unique_ptr<catalog::CatalogEngine> engine_;
-  std::unordered_map<std::string, std::shared_ptr<Connection>> plan_owner_;
-  /// Set once a Flush was evaluated; later PushEvents are rejected with
-  /// FailedPrecondition at admission (the engine is not auto-reset, so a
-  /// StatsRequest after Flush still reports the full run).
-  std::atomic<bool> flushed_{false};
-  std::atomic<int64_t> checkpoint_seq_{0};
+  std::map<std::string, std::vector<Match>, std::less<>> pending_;
+  int64_t checkpoint_seq_ = 0;
 
-  /// Admitted-but-not-yet-evaluated PushEvents slabs across every
-  /// connection, and the count of Flush barriers currently draining
-  /// (see TryAdmitPush).
-  mutable std::mutex inflight_mu_;
-  std::condition_variable inflight_cv_;
-  int64_t inflight_pushes_ = 0;
-  int64_t flush_waiters_ = 0;
+  /// Which connection owns each plan; readers write it, the evaluator
+  /// reads it to route matches.
+  std::mutex owners_mu_;
+  std::unordered_map<std::string, std::shared_ptr<Connection>> plan_owner_;
+
+  /// The evaluator's FIFO and the admission state checked with it.
+  std::mutex fifo_mu_;
+  std::condition_variable fifo_cv_;
+  std::deque<Item> fifo_;
+  /// A Flush was queued: every later PushEvents is refused, so each slab
+  /// is either ahead of the Flush in the FIFO or rejected.
+  bool flush_queued_ = false;
+  /// Set by Stop once every reader is joined; the evaluator drains the
+  /// FIFO and exits.
+  bool fifo_closed_ = false;
+  std::thread evaluator_;
 
   mutable std::mutex conns_mu_;
   std::vector<std::shared_ptr<Connection>> conns_;

@@ -4,17 +4,24 @@
 // CatalogEngine run over the same plans and events, across engine kinds
 // {serial, parallel x 4}, payload encodings {row, columnar}, and client
 // counts {1, 8} — plus the connection lifecycle: disconnects free plans
-// and pending matches, a full ingest queue answers Busy without dropping
+// and pending matches, a full queue share answers Busy without dropping
 // admitted slabs, idle connections are torn down on the injected clock,
 // corrupt frames get a typed Error and a clean close without hurting
-// other connections, and the Stats packet carries field-for-field parity
-// with the in-process engine.
+// other connections, a peer that stops reading its matches is dropped
+// without stalling the others, the Stats packet carries field-for-field
+// parity with the in-process engine, and Flush, Stats and Checkpoint are
+// ordered after every slab admitted before them.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <functional>
+#include <future>
 #include <limits>
 #include <map>
 #include <memory>
@@ -36,6 +43,7 @@
 #include "net/socket.h"
 #include "plan/compiled_plan.h"
 #include "query/parser.h"
+#include "storage/checkpoint.h"
 
 namespace ses {
 namespace {
@@ -154,11 +162,11 @@ std::unique_ptr<net::Server> StartServer(net::ServerOptions options) {
   return std::move(*server);
 }
 
-/// A gate for ServerOptions::eval_gate. Every ingest item a worker pops
-/// announces itself (WaitArrival) at the gate; the first `holds` of them
-/// then park there until Open(), later ones pass straight through. Tests
-/// wait on arrivals instead of sleeping, so worker progress is observed,
-/// not guessed.
+/// A gate for ServerOptions::eval_gate. Every slab or Flush the evaluator
+/// pops announces itself (WaitArrival) at the gate; the first `holds` of
+/// them then park there until Open(), later ones pass straight through.
+/// Tests wait on arrivals instead of sleeping, so evaluator progress is
+/// observed, not guessed.
 class EvalGate {
  public:
   explicit EvalGate(int holds = std::numeric_limits<int>::max())
@@ -183,7 +191,7 @@ class EvalGate {
   }
 
   /// Opens the gate when it goes out of scope. Declare it after the server,
-  /// so a failed assertion cannot leave ~Server joining a parked worker.
+  /// so a failed assertion cannot leave ~Server joining a parked evaluator.
   class OpenOnExit {
    public:
     explicit OpenOnExit(EvalGate* gate) : gate_(gate) {}
@@ -223,9 +231,9 @@ TEST_P(DifferentialTest, WireMatchesEqualInProcessMatches) {
   std::unique_ptr<net::Server> server = StartServer(std::move(server_options));
 
   // Concurrent connections, one thread each, loadgen's flush protocol:
-  // everyone pushes, then client 0 runs the global Flush (the server
-  // drains every admitted slab first), then the rest Flush idempotently
-  // to collect their MatchBatch frames.
+  // everyone pushes, then client 0 runs the global Flush (queued behind
+  // every admitted slab), then the rest Flush idempotently to collect
+  // their MatchBatch frames.
   const Schema schema = TestSchema();
   std::vector<std::unique_ptr<net::Client>> clients_vec(clients);
   std::vector<Status> statuses(clients, Status::OK());
@@ -340,15 +348,16 @@ TEST(ServerLifecycle, DisconnectFreesPlansAndPendingMatches) {
 }
 
 TEST(ServerLifecycle, FullQueueAnswersBusyAndDropsNothing) {
-  // Hold the ingest worker at a gate so the 1-slot queue fills: slab 1 is
-  // popped and held, slab 2 occupies the queue, slab 3 must be Busy.
+  // Hold the evaluator at a gate so the connection's 1-slab share fills:
+  // slab 1 is popped and held, slab 2 waits in the FIFO, slab 3 must be
+  // Busy.
   EvalGate gate;
   net::ServerOptions options;
   options.queue_capacity = 1;
   options.eval_gate = gate.Hook();
   std::unique_ptr<net::Server> server = StartServer(std::move(options));
   // Declared after the server, so it opens the gate before ~Server joins
-  // the worker even when an assertion below returns early.
+  // the evaluator even when an assertion below returns early.
   EvalGate::OpenOnExit open_on_exit(&gate);
 
   Result<std::unique_ptr<net::Client>> client = ConnectClient(server->port());
@@ -359,18 +368,18 @@ TEST(ServerLifecycle, FullQueueAnswersBusyAndDropsNothing) {
   std::span<const Event> all(stream.events());
   Result<bool> first = (*client)->Push(all.subspan(0, 20));
   ASSERT_TRUE(first.ok() && *first);
-  ASSERT_TRUE(gate.WaitArrival()) << "worker never popped slab 1";
+  ASSERT_TRUE(gate.WaitArrival()) << "evaluator never popped slab 1";
   Result<bool> second = (*client)->Push(all.subspan(20, 20));
   ASSERT_TRUE(second.ok() && *second);
   Result<bool> third = (*client)->Push(all.subspan(40, 20));
   ASSERT_TRUE(third.ok()) << third.status().ToString();
   ASSERT_FALSE(*third) << "a full queue admitted slab 3";
 
-  // Release the worker. Once slab 2 reaches the gate the queue is empty,
-  // so the re-sent slab 3 is admitted: nothing admitted was lost, and the
-  // retried slab completes the stream.
+  // Release the evaluator. Once slab 2 reaches the gate the share is
+  // free, so the re-sent slab 3 is admitted: nothing admitted was lost,
+  // and the retried slab completes the stream.
   gate.Open();
-  ASSERT_TRUE(gate.WaitArrival()) << "worker never popped slab 2";
+  ASSERT_TRUE(gate.WaitArrival()) << "evaluator never popped slab 2";
   Result<bool> retried = (*client)->Push(all.subspan(40, 20));
   ASSERT_TRUE(retried.ok()) << retried.status().ToString();
   ASSERT_TRUE(*retried);
@@ -549,9 +558,9 @@ TEST(ServerStats, WireStatsMatchInProcessFieldForField) {
 // --- Flush semantics across connections ---
 
 TEST(ServerFlush, GlobalFlushWaitsForOtherConnectionsAdmittedSlabs) {
-  // Client B's slab is admitted but its worker is held at the gate when
-  // client A flushes: the flush barrier must wait, evaluate B's slab, and
-  // deliver B's matches — not invalidate them.
+  // Client B's slab is admitted but held at the gate when client A
+  // flushes: A's Flush queues behind it, so B's slab is evaluated and its
+  // matches delivered, not invalidated.
   EvalGate gate(/*holds=*/1);
   net::ServerOptions options;
   options.eval_gate = gate.Hook();
@@ -569,22 +578,28 @@ TEST(ServerFlush, GlobalFlushWaitsForOtherConnectionsAdmittedSlabs) {
   Result<bool> pushed_b =
       (*b)->Push(std::span<const Event>(stream_b.events()));
   ASSERT_TRUE(pushed_b.ok() && *pushed_b);  // admitted, not yet evaluated
-  ASSERT_TRUE(gate.WaitArrival()) << "B's worker never popped its slab";
+  ASSERT_TRUE(gate.WaitArrival()) << "the evaluator never popped B's slab";
   Result<bool> pushed_a =
       (*a)->Push(std::span<const Event>(stream_a.events()));
   ASSERT_TRUE(pushed_a.ok() && *pushed_a);
 
-  // A's flush blocks on the barrier; a helper opens the gate only after
-  // A's worker has popped A's slab and then the flush itself, so the
-  // barrier is raised while B's slab is still held.
-  std::thread opener([&] {
-    const bool popped = gate.WaitArrival() && gate.WaitArrival();
-    gate.Open();
-    EXPECT_TRUE(popped) << "A's worker never reached its flush";
-  });
-  Status flushed = (*a)->Flush();
-  opener.join();
-  ASSERT_TRUE(flushed.ok()) << flushed.ToString();
+  std::future<Status> flushed =
+      std::async(std::launch::async, [&] { return (*a)->Flush(); });
+  // B probes with empty slabs (harmless if admitted) until one is refused
+  // as flushed: from then on A's Flush is in the FIFO, behind B's slab.
+  const std::vector<Event> none;
+  Result<bool> probe = true;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (probe.ok() && std::chrono::steady_clock::now() < deadline) {
+    probe = (*b)->Push(std::span<const Event>(none));
+    if (probe.ok()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  gate.Open();
+  const Status flush_status = flushed.get();
+  ASSERT_FALSE(probe.ok()) << "A's Flush was never queued";
+  EXPECT_EQ(probe.status().code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(flush_status.ok()) << flush_status.ToString();
   ASSERT_TRUE((*b)->Flush().ok());  // idempotent; drains B's matches
 
   const Schema schema = TestSchema();
@@ -601,6 +616,192 @@ TEST(ServerFlush, GlobalFlushWaitsForOtherConnectionsAdmittedSlabs) {
 
   (*a)->Close();
   (*b)->Close();
+  server->Stop();
+}
+
+// --- Stats and Checkpoint are ordered after the connection's Ack'd slabs ---
+
+constexpr int kHeldSlabs = 4;
+constexpr int kHeldSlabEvents = 20;
+
+/// Pushes kHeldSlabs Ack'd slabs of ClientStream(0) on `client`; the gate
+/// holds the first one at the evaluator. Returns false on any failure.
+bool PushHeldSlabs(net::Client* client, EvalGate* gate,
+                   const EventRelation& stream) {
+  std::span<const Event> all(stream.events());
+  for (int k = 0; k < kHeldSlabs; ++k) {
+    Result<bool> pushed =
+        client->Push(all.subspan(k * kHeldSlabEvents, kHeldSlabEvents));
+    if (!pushed.ok() || !*pushed) return false;
+    if (k == 0 && !gate->WaitArrival()) return false;
+  }
+  return true;
+}
+
+TEST(ServerStats, StatsAnswerCoversEveryAckedSlab) {
+  EvalGate gate(/*holds=*/1);
+  net::ServerOptions options;
+  options.eval_gate = gate.Hook();
+  std::unique_ptr<net::Server> server = StartServer(std::move(options));
+  EvalGate::OpenOnExit open_on_exit(&gate);
+  Result<std::unique_ptr<net::Client>> client = ConnectClient(server->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_TRUE((*client)->SubmitPlan("plan-0", ClientQuery(0)).ok());
+  const EventRelation stream = ClientStream(0, kHeldSlabs * kHeldSlabEvents);
+  ASSERT_TRUE(PushHeldSlabs(client->get(), &gate, stream));
+
+  std::future<Result<net::StatsResponse>> stats =
+      std::async(std::launch::async, [&] { return (*client)->Stats(); });
+  // A negative check: correct code never answers while the gate is shut,
+  // however loaded the machine, so the bound only limits the test's time.
+  EXPECT_EQ(stats.wait_for(std::chrono::milliseconds(200)),
+            std::future_status::timeout)
+      << "Stats was answered while an Ack'd slab was held";
+  gate.Open();
+  Result<net::StatsResponse> got = stats.get();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->catalog.events_pushed, kHeldSlabs * kHeldSlabEvents);
+  ASSERT_EQ(got->plans.size(), 1u);
+  EXPECT_EQ(got->plans[0].engine.events_pushed,
+            kHeldSlabs * kHeldSlabEvents);
+  (*client)->Close();
+  server->Stop();
+}
+
+TEST(ServerCheckpoint, CheckpointCoversEveryAckedSlab) {
+  const std::string dir =
+      ::testing::TempDir() + "/ses_server_ckpt_" +
+      std::to_string(std::chrono::steady_clock::now()
+                         .time_since_epoch()
+                         .count());
+  ASSERT_TRUE(std::filesystem::create_directories(dir));
+  EvalGate gate(/*holds=*/1);
+  net::ServerOptions options;
+  options.eval_gate = gate.Hook();
+  options.checkpoint_dir = dir;
+  std::unique_ptr<net::Server> server = StartServer(std::move(options));
+  EvalGate::OpenOnExit open_on_exit(&gate);
+  Result<std::unique_ptr<net::Client>> client = ConnectClient(server->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_TRUE((*client)->SubmitPlan("plan-0", ClientQuery(0)).ok());
+  const int events = kHeldSlabs * kHeldSlabEvents;
+  const EventRelation stream = ClientStream(0, events);
+  ASSERT_TRUE(PushHeldSlabs(client->get(), &gate, stream));
+
+  std::future<Result<std::string>> written =
+      std::async(std::launch::async, [&] { return (*client)->Checkpoint(); });
+  EXPECT_EQ(written.wait_for(std::chrono::milliseconds(200)),
+            std::future_status::timeout)
+      << "Checkpoint was answered while an Ack'd slab was held";
+  gate.Open();
+  Result<std::string> path = written.get();
+  ASSERT_TRUE(path.ok()) << path.status().ToString();
+  // Matches written before the checkpoint's answer came with it.
+  std::map<std::string, std::vector<Match>> got = (*client)->TakeMatches();
+  (*client)->Close();
+  server->Stop();
+
+  // Restore the file in process: it must hold every Ack'd slab, so the
+  // wire's matches plus what the restored engine's Flush releases equal
+  // an uninterrupted run.
+  const Schema schema = TestSchema();
+  auto catalog = std::make_shared<QueryCatalog>();
+  Result<Pattern> pattern = ParsePattern(ClientQuery(0), schema);
+  ASSERT_TRUE(pattern.ok());
+  Result<std::shared_ptr<const plan::CompiledPlan>> plan =
+      plan::CompilePlan(*pattern, plan::PlanOptions{});
+  ASSERT_TRUE(plan.ok());
+  ASSERT_TRUE(catalog->Add("plan-0", std::move(*plan)).ok());
+  CatalogOptions restore_options;
+  restore_options.sink = [&got](std::string_view id, Match&& match) {
+    got[std::string(id)].push_back(std::move(match));
+  };
+  Result<std::unique_ptr<CatalogEngine>> engine =
+      CatalogEngine::Create(catalog, std::move(restore_options));
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  Result<std::string> bytes = storage::ReadCheckpointFile(*path);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  Result<storage::CheckpointReader> reader =
+      storage::CheckpointReader::Parse(std::move(*bytes));
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  Status restored = (*engine)->Restore(*reader);
+  ASSERT_TRUE(restored.ok()) << restored.ToString();
+  EXPECT_EQ((*engine)->stats().events_pushed, events);
+  ASSERT_TRUE((*engine)->Flush().ok());
+  EXPECT_EQ(EncodeMatchSet(std::move(got["plan-0"]), schema),
+            InProcessReference("serial", 1, events).at("plan-0"));
+  std::filesystem::remove_all(dir);
+}
+
+// --- A peer that stops reading cannot stall the others ---
+
+TEST(ServerLifecycle, PeerThatStopsReadingMatchesIsDisconnected) {
+  net::ServerOptions options;
+  options.write_timeout_ms = 200;
+  std::unique_ptr<net::Server> server = StartServer(std::move(options));
+
+  // The stalled peer: a tiny receive window (set before connect), a plan
+  // whose 1000 matches each bind every later B9 event (megabytes of match
+  // frames at the Flush), one slab, and no reads after its Ack.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  net::Socket stalled(fd);
+  const int rcvbuf = 4096;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf)),
+            0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server->port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
+      0);
+  net::HelloRequest hello;
+  ASSERT_TRUE(
+      net::WriteFrame(fd, net::PacketType::kHello, hello.Encode()).ok());
+  Result<net::Frame> hello_ack = net::ReadFrame(fd);
+  ASSERT_TRUE(hello_ack.ok() &&
+              hello_ack->type == net::PacketType::kHelloAck);
+  net::SubmitPlanRequest submit;
+  submit.plan_id = "flood";
+  submit.query =
+      "PATTERN {a} -> {b+}\nWHERE a.L = 'A9' AND b.L = 'B9'\nWITHIN 100000s";
+  ASSERT_TRUE(
+      net::WriteFrame(fd, net::PacketType::kSubmitPlan, submit.Encode()).ok());
+  Result<net::Frame> submit_ack = net::ReadFrame(fd);
+  ASSERT_TRUE(submit_ack.ok() && submit_ack->type == net::PacketType::kAck);
+  const EventRelation flood = ClientStream(9, 2000);
+  ASSERT_TRUE(net::WriteFrame(fd, net::PacketType::kPushEvents,
+                              net::PushEventsRequest::EncodeRows(
+                                  flood.events(), TestSchema()))
+                  .ok());
+  // The admission Ack, so the slab is queued ahead of the neighbor's Flush;
+  // the flood's matches only come at that Flush.
+  Result<net::Frame> push_ack = net::ReadFrame(fd);
+  ASSERT_TRUE(push_ack.ok() && push_ack->type == net::PacketType::kAck);
+
+  // A healthy neighbor's push and Flush complete with exact matches.
+  Result<std::unique_ptr<net::Client>> healthy =
+      ConnectClient(server->port());
+  ASSERT_TRUE(healthy.ok()) << healthy.status().ToString();
+  ASSERT_TRUE((*healthy)->SubmitPlan("plan-0", ClientQuery(0)).ok());
+  const EventRelation stream = ClientStream(0, 40);
+  Result<bool> pushed =
+      (*healthy)->Push(std::span<const Event>(stream.events()));
+  ASSERT_TRUE(pushed.ok() && *pushed) << pushed.status().ToString();
+  const Status flushed = (*healthy)->Flush();
+  ASSERT_TRUE(flushed.ok()) << flushed.ToString();
+  EXPECT_EQ(
+      EncodeMatchSet(std::move((*healthy)->TakeMatches()["plan-0"]),
+                     TestSchema()),
+      InProcessReference("serial", 1, 40).at("plan-0"));
+
+  for (int i = 0; i < 500 && server->num_connections() != 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(server->num_connections(), 1u);
+  EXPECT_EQ(server->num_plans(), 1u);
+  (*healthy)->Close();
   server->Stop();
 }
 
